@@ -53,7 +53,6 @@ from .toric import (
     build_lattice,
     discrepancy,
     dual_basis,
-    is_crepant,
     junior_simplex,
     make_fan,
     pairing,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import NoReturn, Optional, Sequence
@@ -82,6 +83,13 @@ class _Parser(argparse.ArgumentParser):
     # all invalid input exits 1 with JSON diagnostics
     def error(self, message: str) -> NoReturn:
         raise InputError(f"argument error: {message}")
+
+
+def non_negative_int(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _load_json(path: str):
@@ -454,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--per-ray", action="store_true", dest="per_ray")
     mode.add_argument("--count-only", action="store_true", dest="count_only")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=non_negative_int, default=None)
 
     p = add("check", cmd_check, help="reductor condition + shift bounds")
     p.add_argument("--set", required=True)
@@ -491,7 +499,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (e.g. `| head`); send the unflushed rest
+        # to devnull so the interpreter's final flush does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except InputError as exc:
         print(json.dumps({"error": "invalid input", **exc.payload}, indent=2))
         return 1

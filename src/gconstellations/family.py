@@ -206,7 +206,7 @@ class PerRayTable:
         }
 
 
-def enumerate_per_ray(ray: Ray, group: GroupData, fan: Optional[Fan] = None) -> PerRayTable:
+def enumerate_per_ray(ray: Ray, group: GroupData) -> PerRayTable:
     """Depth-first search over the finite per-ray coefficient grid.
 
     Candidates for q_chi run through the congruence class of the fractional
@@ -214,9 +214,6 @@ def enumerate_per_ray(ray: Ray, group: GroupData, fan: Optional[Fan] = None) -> 
     character is pinned to 0, which the bounds enforce on their own. Partial
     assignments are pruned against every inequality whose two endpoints are
     already assigned, and rows come out in lexicographic order.
-
-    The fan argument is accepted for interface symmetry and ignored: the
-    constraint system depends only on the ray vector and the group.
     """
     chars = group.characters()
     shifts = maximal_shift_values(ray, group)

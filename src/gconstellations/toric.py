@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Optional, Sequence
 
 from .exact import (
@@ -269,11 +269,6 @@ def discrepancy(v: Sequence) -> Fraction:
     return sum((Fraction(x) for x in v), Fraction(0)) - 1
 
 
-def is_crepant(fan: Fan) -> bool:
-    """True when the fan's rays are exactly the junior points."""
-    return {r.vector for r in fan.rays} == set(junior_simplex(fan.lattice))
-
-
 def x_valuation_on_X(lattice: LatticeL, axis: int) -> Fraction:
     """Valuation of the coordinate x_axis along the image of its hyperplane.
 
@@ -299,7 +294,7 @@ class FanValidationReport:
     nonbasic_cones: tuple[int, ...]           # 1-based cone indices
     face_violations: tuple[tuple[int, int], ...]  # 1-based cone index pairs
     crepant: bool
-    coverage: Optional[bool]                  # None = not verified
+    coverage: Optional[bool]                  # None = not checked
     warnings: tuple[str, ...] = field(default=())
 
     @property
@@ -324,82 +319,17 @@ class FanValidationReport:
         }
 
 
-def _kernel_vector(rows: Sequence[Sequence[Fraction]],
-                   n: int) -> Optional[tuple[Fraction, ...]]:
-    """A spanning vector of the kernel of (n-1) functionals, or None if the
-    kernel is not one-dimensional."""
-    m = [list(row) for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [a / pv for a in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    if r != n - 1:
-        return None
-    free = next(c for c in range(n) if c not in pivots)
-    v = [Fraction(0)] * n
-    v[free] = Fraction(1)
-    for row_idx, c in enumerate(pivots):
-        v[c] = -m[row_idx][free]
-    return tuple(v)
-
-
-def _cone_coords(inverse, v: Sequence[Fraction]) -> list[Fraction]:
-    n = len(inverse)
-    return [
-        sum((v[i] * inverse[i][j] for i in range(n)), Fraction(0))
-        for j in range(n)
-    ]
-
-
-def _faces_properly(cone_a: Cone, inv_a, cone_b: Cone, inv_b, n: int) -> bool:
-    """Check that the two cones intersect exactly in their common face.
-
-    Every extreme ray of the intersection is the kernel of n-1 of the 2n
-    facet functionals; it must lie in the span of the shared rays.
-    """
-    shared = set(cone_a.labels) & set(cone_b.labels)
-    functionals = [
-        tuple(inv[i][j] for i in range(n))
-        for inv in (inv_a, inv_b)
-        for j in range(n)
-    ]
-    checked: set[tuple[Fraction, ...]] = set()
-    for subset in itertools.combinations(functionals, n - 1):
-        kv = _kernel_vector(subset, n)
-        if kv is None:
-            continue
-        scale = next(x for x in kv if x)
-        normalized = tuple(x / scale for x in kv)
-        if normalized in checked:
-            continue
-        checked.add(normalized)
-        for v in (normalized, tuple(-x for x in normalized)):
-            coords_a = _cone_coords(inv_a, v)
-            if any(c < 0 for c in coords_a):
-                continue
-            if any(c < 0 for c in _cone_coords(inv_b, v)):
-                continue
-            # v is in both cones; it must be a combination of shared rays
-            for ray, coef in zip(cone_a.rays, coords_a):
-                if coef != 0 and ray.label not in shared:
-                    return False
-    return True
-
-
 def validate_fan(fan: Fan) -> FanValidationReport:
-    """Diagnostic sweep: ray sanity, basic cones, face intersections,
-    crepancy, and (for fans with all rays junior) support coverage."""
+    """Diagnostic sweep: ray sanity, basic cones, facet adjacency, crepancy
+    and coverage of the positive orthant.
+
+    The cones cover the orthant exactly once when they form a pseudo-manifold
+    (De Loera, Rambau & Santos, Triangulations): two cones sharing a facet
+    lie on opposite sides of it, and a facet of only one cone lies on a
+    coordinate hyperplane. These local conditions make the covering degree
+    constant, and the cross-sections with sum(x) = 1 have normalized volumes
+    summing to that degree, so a volume sum of 1 certifies coverage.
+    """
     lattice = fan.lattice
     n = fan.dim
     ray_errors = []
@@ -418,39 +348,49 @@ def validate_fan(fan: Fan) -> FanValidationReport:
 
     determinants = []
     nonbasic = []
-    inverses: dict[int, object] = {}
+    inverses: dict[int, list[list[Fraction]]] = {}
     for k, cone in enumerate(fan.cones, start=1):
         d = det(cone.matrix)
         determinants.append(d)
         if abs(d) != lattice.covolume:
             nonbasic.append(k)
-        elif d != 0:
+        else:
             inverses[k] = invert(cone.matrix)
 
-    face_violations = []
-    indexed = [k for k in range(1, len(fan.cones) + 1) if k in inverses]
-    for a, b in itertools.combinations(indexed, 2):
-        cone_a, cone_b = fan.cones[a - 1], fan.cones[b - 1]
-        if not _faces_properly(cone_a, inverses[a], cone_b, inverses[b], n):
-            face_violations.append((a, b))
+    # facet (labels of n-1 rays) -> (1-based cone index, position of apex)
+    facets: dict[frozenset[int], list[tuple[int, int]]] = {}
+    for k in inverses:
+        labels = fan.cones[k - 1].labels
+        for apex, label in enumerate(labels):
+            facets.setdefault(frozenset(labels) - {label}, []).append(
+                (k, apex)
+            )
+    violations = set()
+    for sharing in facets.values():
+        for (a, i), (b, j) in itertools.combinations(sharing, 2):
+            # b's apex has a positive coordinate along a's apex: same side
+            column = [row[i] for row in inverses[a]]
+            if dot(fan.cones[b - 1].rays[j].vector, column) > 0:
+                violations.add((a, b))
+    face_violations = sorted(violations)
 
-    junior = set(junior_simplex(lattice))
-    crepant = {r.vector for r in fan.rays} == junior
-    all_rays_junior = all(r.vector in junior for r in fan.rays)
+    crepant = {r.vector for r in fan.rays} == set(junior_simplex(lattice))
     coverage: Optional[bool]
     if ray_errors or nonbasic or face_violations:
         coverage = None
         warnings.append("support coverage not checked (earlier failures)")
-    elif all_rays_junior:
-        # each basic cone over junior rays covers 1/|G| of the simplex, and
-        # face-correct cones do not overlap, so counting certifies coverage
-        coverage = len(fan.cones) == lattice.index
     else:
-        coverage = None
-        warnings.append(
-            "support coverage not verified (non-junior rays); "
-            "the fan's support is trusted"
+        vectors = {r.label: r.vector for r in fan.rays}
+        boundary_on_walls = all(
+            any(all(vectors[label][i] == 0 for label in facet)
+                for i in range(n))
+            for facet, sharing in facets.items() if len(sharing) == 1
         )
+        volume = sum(
+            abs(d) / prod(sum(vector) for vector in cone.matrix)
+            for d, cone in zip(determinants, fan.cones)
+        )
+        coverage = boundary_on_walls and volume == 1
     return FanValidationReport(
         ray_errors=tuple(ray_errors),
         cone_determinants=tuple(determinants),

@@ -1,10 +1,14 @@
 """End-to-end runs of the gcon command line through cli.main."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gconstellations
 from gconstellations import (
     GWeilDivisor,
     canonical_family,
@@ -64,12 +68,13 @@ def test_info_json(capsys):
 
 
 def test_info_non_crepant_warns(capsys):
+    # non-junior rays no longer leave coverage unverified
     code, out, err = run(capsys, "info", "--input",
                          str(PROBLEMS / "c4_12.json"))
     assert code == 0
     assert "crepant: false" in out
-    assert "coverage not verified" in out
-    assert "warning:" in err
+    assert "coverage verified" in out
+    assert "warning:" not in err
 
 
 # family tables ------------------------------------------------------------
@@ -140,6 +145,41 @@ def test_enumerate_stream_with_limit(capsys):
     for line in lines:
         blob = json.loads(line)
         assert len(blob["divisors"]) == 8
+
+
+def test_enumerate_limit_zero(capsys):
+    code, out, _ = run(capsys, "enumerate", "--input", RUNNING,
+                       "--limit", "0")
+    assert code == 0
+    assert out == ""
+
+
+def test_enumerate_rejects_negative_limit(capsys):
+    code, out, _ = run(capsys, "enumerate", "--input", RUNNING,
+                       "--limit", "-3")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "invalid input"
+    assert "argument error" in payload["detail"]
+
+
+def test_enumerate_into_closed_pipe():
+    # like `gcon enumerate ... | head -1`: the reader leaves after one line
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(gconstellations.__file__).parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         "from gconstellations.cli import console_main; console_main()",
+         "enumerate", "--input", RUNNING],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+    assert len(json.loads(first)["divisors"]) == 8
 
 
 def test_enumerate_full_stream_small(capsys):
@@ -394,6 +434,25 @@ def test_invalid_fan_rejected(capsys, tmp_path):
     bad = tmp_path / "nonbasic.json"
     bad.write_text(json.dumps(problem))
     code, out, _ = run(capsys, "info", "--input", str(bad))
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["detail"] == "fan failed validation"
+    assert payload["report"]["passed"] is False
+
+
+@pytest.mark.parametrize("name, source, cones", [
+    # one cone listed twice, the cone (3, 2) left out
+    ("duplicate", "c2_11.json", [[1, 3], [3, 1]]),
+    # a non-junior fan covering half of the quadrant
+    ("gapped", "c4_12.json", [[1, 3]]),
+])
+@pytest.mark.parametrize("command", [["info"], ["enumerate", "--count-only"]])
+def test_wrong_fans_rejected(capsys, tmp_path, name, source, cones, command):
+    problem = json.loads((PROBLEMS / source).read_text())
+    problem["fan"]["cones"] = cones
+    bad = tmp_path / f"{name}.json"
+    bad.write_text(json.dumps(problem))
+    code, out, _ = run(capsys, *command, "--input", str(bad))
     assert code == 1
     payload = json.loads(out)
     assert payload["detail"] == "fan failed validation"

@@ -10,7 +10,6 @@ from gconstellations import (
     build_lattice,
     discrepancy,
     dual_basis,
-    is_crepant,
     junior_simplex,
     make_fan,
     pairing,
@@ -90,12 +89,12 @@ def test_discrepancy():
 
 
 def test_is_crepant(fan8, fan2, fan3, fan31, fan4, fan1):
-    assert is_crepant(fan8)
-    assert is_crepant(fan2)
-    assert is_crepant(fan3)
-    assert is_crepant(fan31)
-    assert not is_crepant(fan4)
-    assert is_crepant(fan1)
+    assert validate_fan(fan8).crepant
+    assert validate_fan(fan2).crepant
+    assert validate_fan(fan3).crepant
+    assert validate_fan(fan31).crepant
+    assert not validate_fan(fan4).crepant
+    assert validate_fan(fan1).crepant
 
 
 def test_pairing(fan8):
@@ -167,11 +166,12 @@ def test_validate_fan_small_fans(fan2, fan3, fan31, fan1):
 
 
 def test_validate_fan_non_junior_rays_warn(fan4):
+    # coverage is certified by volume, so non-junior rays need no warning
     report = validate_fan(fan4)
     assert report.passed
     assert not report.crepant
-    assert report.coverage is None
-    assert report.warnings
+    assert report.coverage is True
+    assert not report.warnings
 
 
 def test_validate_fan_flags_nonbasic_cone(g8, fan8):
