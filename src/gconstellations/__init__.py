@@ -1,7 +1,7 @@
 """Exact classification of deformation families of the generic orbit on
 toric resolutions of abelian quotient singularities."""
 
-from .exact import Rational, SingularMatrixError, det, frac, invert
+from .exact import Rational, det_inverse, frac
 from .family import (
     BoundsReport,
     EquivalenceResult,
@@ -51,6 +51,7 @@ from .toric import (
     NotBasicError,
     Ray,
     build_lattice,
+    chart_exponent,
     discrepancy,
     dual_basis,
     junior_simplex,

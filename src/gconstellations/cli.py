@@ -102,21 +102,29 @@ def _load_json(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _json_list(value, what: str) -> list:
+    # a JSON string is iterable too, and would pass as the list of its characters
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, not {value!r}")
+    return value
+
+
 def _parse_group(obj) -> GroupData:
     if not isinstance(obj, dict):
         raise InputError("problem file needs a 'group' object")
     try:
         if "cyclic" in obj:
             spec = obj["cyclic"]
-            group = GroupData.cyclic(
-                int(spec["order"]), [int(w) for w in spec["weights"]]
-            )
+            group = GroupData.cyclic(int(spec["order"]), [
+                int(w) for w in _json_list(spec["weights"], "weights")
+            ])
         elif "abelian" in obj:
             spec = obj["abelian"]
             group = GroupData(
-                tuple(int(d) for d in spec["orders"]),
-                tuple(tuple(int(w) for w in row)
-                      for row in spec["weight_matrix"]),
+                tuple(int(d) for d in _json_list(spec["orders"], "orders")),
+                tuple(tuple(int(w) for w in _json_list(row, "weight row"))
+                      for row in _json_list(spec["weight_matrix"],
+                                            "weight_matrix")),
             )
         else:
             raise InputError("group must be given as 'cyclic' or 'abelian'")
@@ -140,12 +148,13 @@ def load_problem(path: str):
     try:
         lattice = build_lattice(group)
         rays = [
-            [Fraction(str(x)) for x in vec]
-            for vec in fan_spec.get("rays", [])
+            [Fraction(str(x)) for x in _json_list(vec, "ray")]
+            for vec in _json_list(fan_spec.get("rays", []), "rays")
         ]
         if any(len(vec) != group.dim for vec in rays):
             raise ValueError(f"every ray needs {group.dim} coordinates")
-        cones = [list(map(int, c)) for c in fan_spec.get("cones", [])]
+        cones = [list(map(int, _json_list(c, "cone")))
+                 for c in _json_list(fan_spec.get("cones", []), "cones")]
         fan = make_fan(lattice, rays, cones)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"invalid fan: {exc}") from exc
@@ -161,7 +170,7 @@ def _load_set(path: str, fan: Fan, group: GroupData) -> ReductorSet:
     obj = _load_json(path)
     try:
         return reductor_set_from_json(obj, fan, group)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"invalid reductor set in {path}: {exc}") from exc
 
 
@@ -374,7 +383,7 @@ def cmd_cartier(args) -> int:
             int(str(key).lstrip("E")): Fraction(str(value))
             for key, value in obj.items()
         })
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"invalid coefficients: {exc}") from exc
     unknown = set(divisor.support) - {r.label for r in fan.rays}
     if unknown:

@@ -2,27 +2,19 @@
 
 Everything in this package runs on `fractions.Fraction`; no floating point
 appears anywhere. Matrices are plain sequences of row sequences, kept small
-(n x n for the ambient dimension n), so classical Gaussian elimination is
-entirely adequate.
+(n x n for the ambient dimension n). One Gauss-Jordan elimination,
+`det_inverse`, gives both the determinant and the inverse; callers keep its
+result instead of eliminating the same matrix again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[int, str, Fraction]
-
-
-class SingularMatrixError(ArithmeticError):
-    """An inverse was requested for a matrix with determinant zero."""
-
-
-def rat(value: RationalLike) -> Fraction:
-    """Coerce an int, an exact string like '5/8' or a Fraction to Fraction."""
-    return Fraction(value)
 
 
 def frac(q: RationalLike) -> Fraction:
@@ -41,60 +33,35 @@ def dot(u: Sequence[RationalLike], v: Sequence[RationalLike]) -> Fraction:
     return total
 
 
-def _to_rows(matrix: Sequence[Sequence[RationalLike]]) -> list[list[Fraction]]:
+def det_inverse(
+    matrix: Sequence[Sequence[RationalLike]],
+) -> tuple[Fraction, Optional[tuple[tuple[Fraction, ...], ...]]]:
+    """Exact determinant and inverse from one Gauss-Jordan elimination.
+
+    The inverse is None exactly when the determinant is zero.
+    """
     rows = [[Fraction(x) for x in row] for row in matrix]
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise ValueError("matrix must be square and non-empty")
-    return rows
-
-
-def det(matrix: Sequence[Sequence[RationalLike]]) -> Fraction:
-    """Exact determinant by Gaussian elimination."""
-    rows = _to_rows(matrix)
-    n = len(rows)
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
-        pv = rows[col][col]
-        result *= pv
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                factor = rows[r][col] / pv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return sign * result
-
-
-def invert(matrix: Sequence[Sequence[RationalLike]]) -> list[list[Fraction]]:
-    """Exact inverse via Gauss-Jordan; raises SingularMatrixError if det = 0."""
-    rows = _to_rows(matrix)
-    n = len(rows)
     aug = [row + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(rows)]
+    determinant = Fraction(1)
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
+            return Fraction(0), None
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            determinant = -determinant
         pv = aug[col][col]
+        determinant *= pv
         aug[col] = [a / pv for a in aug[col]]
         for r in range(n):
             if r != col and aug[r][col]:
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def mat_mul(a: Sequence[Sequence[RationalLike]],
-            b: Sequence[Sequence[RationalLike]]) -> list[list[Fraction]]:
-    bt = list(zip(*b))
-    return [[dot(row, col) for col in bt] for row in a]
+    return determinant, tuple(tuple(row[n:]) for row in aug)
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -34,7 +34,7 @@ from .gdivisor import (
     monomial_string,
 )
 from .group import Character, GroupData
-from .toric import Cone, Fan, Ray, dual_basis, pairing
+from .toric import Cone, Fan, Ray, chart_exponent, pairing
 
 
 @dataclass(frozen=True)
@@ -395,21 +395,17 @@ class ReductorPiece:
 def reductor_piece(family: ReductorSet, cone: Cone, fan: Fan,
                    group: GroupData) -> ReductorPiece:
     """Chart generators p_chi = sum of coefficient * dual basis over the cone."""
-    duals = dual_basis(cone, fan.lattice)
     chars = []
     exponents = []
     for divisor in family.divisors:
-        m = [Fraction(0)] * fan.dim
-        for ray, dual in zip(cone.rays, duals):
-            c = divisor.coefficient(ray.label)
-            if c:
-                m = [a + c * d for a, d in zip(m, dual)]
-        if any(x.denominator != 1 for x in m):
+        exponent = chart_exponent(cone, fan.lattice, [
+            divisor.coefficient(ray.label) for ray in cone.rays
+        ])
+        if exponent is None:
             raise CongruenceViolationError(
                 f"{divisor.character.name}: chart exponent is non-integral "
                 f"on cone {cone.labels}"
             )
-        exponent = tuple(int(x) for x in m)
         if group.weight(exponent) != divisor.character:
             raise CongruenceViolationError(
                 f"chart exponent {exponent} has wrong weight for "

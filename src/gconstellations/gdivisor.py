@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 from .exact import frac
 from .group import Character, GroupData
-from .toric import Fan, dual_basis, pairing
+from .toric import Fan, chart_exponent, pairing
 
 
 class CongruenceViolationError(ValueError):
@@ -185,20 +185,15 @@ def weil_to_cartier(divisor: GWeilDivisor, fan: Fan,
     """
     exponents = []
     for k, cone in enumerate(fan.cones, start=1):
-        duals = dual_basis(cone, fan.lattice)
-        n = fan.dim
-        m = [Fraction(0)] * n
-        for ray, dual in zip(cone.rays, duals):
-            c = divisor.coefficient(ray.label)
-            if c:
-                m = [a + c * d for a, d in zip(m, dual)]
-        if any(x.denominator != 1 for x in m):
+        exponent = chart_exponent(cone, fan.lattice, [
+            divisor.coefficient(ray.label) for ray in cone.rays
+        ])
+        if exponent is None:
             bad = congruence_violations(divisor, fan, group)
             raise CongruenceViolationError(
                 f"coefficients violate the congruence invariant on rays "
                 f"{bad or cone.labels}; cone {k} exponent is non-integral"
             )
-        exponent = tuple(int(x) for x in m)
         if group.weight(exponent) != divisor.character:
             raise CongruenceViolationError(
                 f"cone {k} exponent {exponent} has weight "
@@ -262,16 +257,9 @@ def linear_equivalence_witness(
         for ray in fan.rays
     }
     cone = fan.cones[0]
-    duals = dual_basis(cone, fan.lattice)
-    m = [Fraction(0)] * fan.dim
-    for ray, dual in zip(cone.rays, duals):
-        c = diff[ray.label]
-        if c:
-            m = [x + c * d for x, d in zip(m, dual)]
-    if any(x.denominator != 1 for x in m):
-        return None
-    candidate = tuple(int(x) for x in m)
-    if group.weight(candidate) != target_char:
+    candidate = chart_exponent(cone, fan.lattice,
+                               [diff[ray.label] for ray in cone.rays])
+    if candidate is None or group.weight(candidate) != target_char:
         return None
     for ray in fan.rays:
         if pairing(ray, candidate) != diff[ray.label]:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from math import prod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -132,9 +132,8 @@ class GroupData:
 
     def representative_monomial(self, char: Character) -> tuple[int, ...]:
         """Some m >= 0 with weight(m) = char; entries bounded by |G|."""
-        table = _representative_table(self)
         try:
-            return table[char]
+            return self._representative_table[char]
         except KeyError:
             raise ValueError(
                 f"{char.name} is not hit by the weight map; action not faithful"
@@ -142,7 +141,7 @@ class GroupData:
 
     def validate(self) -> None:
         """Raise ValueError unless the weight map is surjective."""
-        missing = self.order - len(_representative_table(self))
+        missing = self.order - len(self._representative_table)
         if missing:
             raise ValueError(
                 f"weight map is not surjective ({missing} of {self.order} "
@@ -150,33 +149,25 @@ class GroupData:
                 "faithful diagonal action"
             )
 
-    def monomials_of_weight(
-        self, char: Character, bound: int
-    ) -> Iterator[tuple[int, ...]]:
-        """All m with 0 <= m_i <= bound and weight(m) = char (test oracle)."""
-        for m in itertools.product(range(bound + 1), repeat=self.dim):
-            if self.weight(m) == char:
-                yield m
+    @cached_property
+    def _representative_table(self) -> dict[Character, tuple[int, ...]]:
+        """Breadth-first search over monomials: one representative per
+        character.
 
-
-@lru_cache(maxsize=None)
-def _representative_table(group: GroupData) -> dict[Character, tuple[int, ...]]:
-    """Breadth-first search over monomials: one representative per character.
-
-    Paths in the search have length < |G|, so every entry is <= |G|.
-    """
-    start = (0,) * group.dim
-    table = {group.trivial_character: start}
-    queue = deque([(group.trivial_character, start)])
-    gens = [group.generator_character(j) for j in range(group.dim)]
-    while queue:
-        char, mono = queue.popleft()
-        for j, gen in enumerate(gens):
-            nxt = char * gen
-            if nxt not in table:
-                bumped = tuple(
-                    e + 1 if i == j else e for i, e in enumerate(mono)
-                )
-                table[nxt] = bumped
-                queue.append((nxt, bumped))
-    return table
+        Paths in the search have length < |G|, so every entry is <= |G|.
+        """
+        start = (0,) * self.dim
+        table = {self.trivial_character: start}
+        queue = deque([(self.trivial_character, start)])
+        gens = [self.generator_character(j) for j in range(self.dim)]
+        while queue:
+            char, mono = queue.popleft()
+            for j, gen in enumerate(gens):
+                nxt = char * gen
+                if nxt not in table:
+                    bumped = tuple(
+                        e + 1 if i == j else e for i, e in enumerate(mono)
+                    )
+                    table[nxt] = bumped
+                    queue.append((nxt, bumped))
+        return table

@@ -14,17 +14,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Optional, Sequence
 
-from .exact import (
-    det,
-    dot,
-    frac,
-    hermite_normal_form,
-    invert,
-    rational_lcm,
-)
+from . import exact
+from .exact import dot, frac, hermite_normal_form, rational_lcm
 from .group import GroupData
 
 Vector = tuple[Fraction, ...]
@@ -47,8 +42,8 @@ class LatticeL:
     def __post_init__(self) -> None:
         basis = tuple(_vec(row) for row in self.basis)
         object.__setattr__(self, "basis", basis)
-        d = det(basis)
-        if d == 0:
+        d, inverse = exact.det_inverse(basis)
+        if inverse is None:
             raise ValueError("lattice basis is singular")
         index = Fraction(1) / abs(d)
         if index.denominator != 1:
@@ -56,9 +51,7 @@ class LatticeL:
                 "basis does not generate an overlattice of the dual of Z^n "
                 f"(1/|det| = {index} is not an integer)"
             )
-        object.__setattr__(self, "_inverse", tuple(
-            tuple(row) for row in invert(basis)
-        ))
+        object.__setattr__(self, "_inverse", inverse)
         object.__setattr__(self, "_index", int(index))
 
     @property
@@ -144,6 +137,12 @@ class Cone:
     def matrix(self) -> tuple[Vector, ...]:
         return tuple(r.vector for r in self.rays)
 
+    @cached_property
+    def det_inverse(self) -> tuple[Fraction, Optional[tuple[Vector, ...]]]:
+        """Determinant and inverse of the ray matrix, eliminated on first
+        use and kept on the cone."""
+        return exact.det_inverse(self.matrix)
+
 
 @dataclass(frozen=True)
 class Fan:
@@ -220,23 +219,33 @@ def dual_basis(cone: Cone, lattice: LatticeL) -> tuple[tuple[int, ...], ...]:
     Exists exactly when the rays form a lattice basis (basic cone); then each
     v_j is an invariant-monomial exponent and the chart is smooth.
     """
-    matrix = cone.matrix
-    d = det(matrix)
+    d, inverse = cone.det_inverse
     if abs(d) != lattice.covolume:
         raise NotBasicError(
             f"cone {cone.labels} is not basic: |det| = {abs(d)}, "
             f"expected {lattice.covolume}"
         )
-    inverse = invert(matrix)
-    duals = []
-    for j in range(len(matrix)):
-        column = [inverse[i][j] for i in range(len(matrix))]
-        if any(c.denominator != 1 for c in column):
-            raise NotBasicError(
-                f"cone {cone.labels}: dual basis is not integral"
-            )
-        duals.append(tuple(int(c) for c in column))
-    return tuple(duals)
+    columns = tuple(zip(*inverse))
+    if any(c.denominator != 1 for column in columns for c in column):
+        raise NotBasicError(f"cone {cone.labels}: dual basis is not integral")
+    return tuple(tuple(int(c) for c in column) for column in columns)
+
+
+def chart_exponent(cone: Cone, lattice: LatticeL,
+                   coefficients: Sequence[Fraction]
+                   ) -> Optional[tuple[int, ...]]:
+    """The exponent m with e(m) = c on each ray e of the basic cone, for the
+    coefficients c listed in the cone's ray order; None if m is not integral.
+
+    m is the coefficient-weighted sum of the cone's dual basis.
+    """
+    m = [Fraction(0)] * lattice.dim
+    for c, dual in zip(coefficients, dual_basis(cone, lattice)):
+        if c:
+            m = [a + c * d for a, d in zip(m, dual)]
+    if any(x.denominator != 1 for x in m):
+        return None
+    return tuple(int(x) for x in m)
 
 
 def junior_simplex(lattice: LatticeL) -> tuple[Vector, ...]:
@@ -346,20 +355,15 @@ def validate_fan(fan: Fan) -> FanValidationReport:
         for ray in fan.rays if ray.label not in used
     ]
 
-    determinants = []
-    nonbasic = []
-    inverses: dict[int, list[list[Fraction]]] = {}
-    for k, cone in enumerate(fan.cones, start=1):
-        d = det(cone.matrix)
-        determinants.append(d)
-        if abs(d) != lattice.covolume:
-            nonbasic.append(k)
-        else:
-            inverses[k] = invert(cone.matrix)
+    determinants = [cone.det_inverse[0] for cone in fan.cones]
+    nonbasic = [k for k, d in enumerate(determinants, start=1)
+                if abs(d) != lattice.covolume]
+    basic = [k for k, d in enumerate(determinants, start=1)
+             if abs(d) == lattice.covolume]
 
     # facet (labels of n-1 rays) -> (1-based cone index, position of apex)
     facets: dict[frozenset[int], list[tuple[int, int]]] = {}
-    for k in inverses:
+    for k in basic:
         labels = fan.cones[k - 1].labels
         for apex, label in enumerate(labels):
             facets.setdefault(frozenset(labels) - {label}, []).append(
@@ -369,7 +373,7 @@ def validate_fan(fan: Fan) -> FanValidationReport:
     for sharing in facets.values():
         for (a, i), (b, j) in itertools.combinations(sharing, 2):
             # b's apex has a positive coordinate along a's apex: same side
-            column = [row[i] for row in inverses[a]]
+            column = [row[i] for row in fan.cones[a - 1].det_inverse[1]]
             if dot(fan.cones[b - 1].rays[j].vector, column) > 0:
                 violations.add((a, b))
     face_violations = sorted(violations)

@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from gconstellations.exact import det, invert
+from gconstellations.exact import det_inverse
 from gconstellations.toric import Cone, Fan
 
 
@@ -94,11 +94,11 @@ def _faces_properly(cone_a: Cone, inv_a, cone_b: Cone, inv_b, n: int) -> bool:
 def pairwise_face_violations(fan: Fan) -> list[tuple[int, int]]:
     """1-based index pairs of basic cones that do not meet in a common face."""
     n = fan.dim
-    inverses = {
-        k: invert(cone.matrix)
-        for k, cone in enumerate(fan.cones, start=1)
-        if abs(det(cone.matrix)) == fan.lattice.covolume
-    }
+    inverses = {}
+    for k, cone in enumerate(fan.cones, start=1):
+        d, inverse = det_inverse(cone.matrix)
+        if abs(d) == fan.lattice.covolume:
+            inverses[k] = inverse
     face_violations = []
     indexed = [k for k in range(1, len(fan.cones) + 1) if k in inverses]
     for a, b in itertools.combinations(indexed, 2):

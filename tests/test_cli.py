@@ -308,6 +308,25 @@ def test_cartier_congruence_failure(capsys, tmp_path):
     assert json.loads(out)["error"] == "check failed"
 
 
+def test_cartier_zero_denominator(capsys, tmp_path):
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps({"E4": "1/0"}))
+    code, out, _ = run(capsys, "cartier", "--input", RUNNING,
+                       "--char", "0", "--coeffs", str(coeffs))
+    assert code == 1
+    assert json.loads(out)["error"] == "invalid input"
+
+
+def test_set_file_zero_denominator(capsys, tmp_path):
+    bad = tmp_path / "set.json"
+    bad.write_text(json.dumps(
+        {"divisors": [{"char": 0, "coeffs": {"E4": "1/0"}}]}))
+    code, out, _ = run(capsys, "check", "--input", RUNNING,
+                       "--set", str(bad))
+    assert code == 1
+    assert json.loads(out)["error"] == "invalid input"
+
+
 def test_cartier_unknown_ray(capsys, tmp_path):
     coeffs = tmp_path / "coeffs.json"
     coeffs.write_text(json.dumps({"E9": "1"}))
@@ -457,6 +476,28 @@ def test_wrong_fans_rejected(capsys, tmp_path, name, source, cones, command):
     payload = json.loads(out)
     assert payload["detail"] == "fan failed validation"
     assert payload["report"]["passed"] is False
+
+
+@pytest.mark.parametrize("source, path, value", [
+    ("c8_125.json", ("group", "cyclic", "weights"), "125"),
+    ("ab22_axes.json", ("group", "abelian", "orders"), "22"),
+    ("ab22_axes.json", ("group", "abelian", "weight_matrix", 0), "10"),
+    ("c3_111.json", ("fan", "rays", 0), "100"),
+    ("c3_111.json", ("fan", "cones"), "124"),
+    ("c3_111.json", ("fan", "cones", 0), "124"),
+])
+def test_string_for_list_rejected(capsys, tmp_path, source, path, value):
+    # a JSON string must not pass as the list of its characters
+    problem = json.loads((PROBLEMS / source).read_text())
+    parent = problem
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    bad = tmp_path / "string.json"
+    bad.write_text(json.dumps(problem))
+    code, out, _ = run(capsys, "info", "--input", str(bad))
+    assert code == 1
+    assert "must be a JSON list" in json.loads(out)["detail"]
 
 
 def test_bad_character_argument(capsys, tmp_path, running_problem):

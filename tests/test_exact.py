@@ -6,22 +6,17 @@ from fractions import Fraction
 import pytest
 
 from gconstellations.exact import (
-    SingularMatrixError,
-    det,
+    det_inverse,
     dot,
     frac,
     hermite_normal_form,
-    invert,
-    mat_mul,
-    rat,
     rational_lcm,
 )
+from oracles import mat_mul
 
 
-def test_rat_accepts_ints_strings_and_fractions():
-    assert rat(3) == Fraction(3)
-    assert rat("5/8") == Fraction(5, 8)
-    assert rat(Fraction(-2, 4)) == Fraction(-1, 2)
+def _det(matrix):
+    return det_inverse(matrix)[0]
 
 
 def test_frac_is_fractional_part_in_unit_interval():
@@ -47,22 +42,29 @@ def test_dot():
 
 
 def test_det_small_goldens():
-    assert det([[Fraction(1)]]) == 1
-    assert det([[1, 2], [3, 4]]) == -2
-    assert det([[0, 1], [1, 0]]) == -1
+    assert _det([[Fraction(1)]]) == 1
+    assert _det([[1, 2], [3, 4]]) == -2
+    assert _det([[0, 1], [1, 0]]) == -1
     # row swap path: zero pivot forces an exchange
-    assert det([[0, 2, 1], [1, 0, 0], [0, 0, 3]]) == -6
-    assert det([[1, 2], [2, 4]]) == 0
+    assert _det([[0, 2, 1], [1, 0, 0], [0, 0, 3]]) == -6
+    assert _det([[1, 2], [2, 4]]) == 0
 
 
 def test_invert_golden():
-    inv = invert([[Fraction(1, 4), Fraction(1, 2)], [0, 1]])
-    assert inv == [[Fraction(4), Fraction(-2)], [Fraction(0), Fraction(1)]]
+    d, inv = det_inverse([[Fraction(1, 4), Fraction(1, 2)], [0, 1]])
+    assert d == Fraction(1, 4)
+    assert inv == ((Fraction(4), Fraction(-2)), (Fraction(0), Fraction(1)))
 
 
-def test_invert_singular_raises():
-    with pytest.raises(SingularMatrixError):
-        invert([[1, 2], [2, 4]])
+def test_det_inverse_singular_returns_none():
+    assert det_inverse([[1, 2], [2, 4]]) == (0, None)
+    assert det_inverse([[0, 0, 1], [0, 1, 0], [0, 2, 0]]) == (0, None)
+
+
+def test_det_inverse_rejects_non_square():
+    for bad in ([], [[1, 2]], [[1, 2], [3]]):
+        with pytest.raises(ValueError):
+            det_inverse(bad)
 
 
 def test_invert_random_round_trip():
@@ -72,16 +74,14 @@ def test_invert_random_round_trip():
         n = rng.randint(1, 4)
         m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5))
               for _ in range(n)] for _ in range(n)]
-        d = det(m)
+        d, inv = det_inverse(m)
         if d == 0:
-            with pytest.raises(SingularMatrixError):
-                invert(m)
+            assert inv is None
             continue
-        inv = invert(m)
         eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
         assert mat_mul(m, inv) == eye
         assert mat_mul(inv, m) == eye
-        assert det(inv) == 1 / d
+        assert _det(inv) == 1 / d
         done += 1
 
 

@@ -1,6 +1,7 @@
 """Overlattice, fan, junior simplex and validation."""
 
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -8,15 +9,23 @@ from gconstellations import (
     GroupData,
     NotBasicError,
     build_lattice,
+    canonical_family,
+    chart_exponent,
     discrepancy,
     dual_basis,
     junior_simplex,
     make_fan,
     pairing,
+    reductor_piece,
     validate_fan,
+    weil_to_cartier,
     x_valuation_on_X,
 )
+from gconstellations import exact
+from gconstellations.cli import load_problem
 from gconstellations.toric import Cone, Ray
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def test_build_lattice_golden_8_125(g8):
@@ -133,6 +142,37 @@ def test_dual_basis_rejects_non_basic(g8, fan8):
     bad = Cone(tuple(fan8.ray(i) for i in (1, 2, 3)))
     with pytest.raises(NotBasicError):
         dual_basis(bad, lat)
+
+
+def test_chart_exponent(g8, fan8):
+    lat = build_lattice(g8)
+    cone = next(c for c in fan8.cones if set(c.labels) == {4, 5, 6})
+    m = (3, -1, 2)
+    values = [pairing(ray, m) for ray in cone.rays]
+    assert chart_exponent(cone, lat, values) == m
+    assert chart_exponent(cone, lat, [Q(0)] * 3) == (0, 0, 0)
+    # a single 1/3 is not congruent to any valuation along a ray of 1/8 Z
+    assert chart_exponent(cone, lat, [Q(1, 3), Q(0), Q(0)]) is None
+
+
+def test_each_matrix_eliminated_once(monkeypatch):
+    calls = []
+    original = exact.det_inverse
+
+    def counted(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(exact, "det_inverse", counted)
+    group, fan, _ = load_problem(str(PROBLEMS / "c8_125.json"))
+    validate_fan(fan)
+    family = canonical_family(fan, group)
+    for divisor in family.divisors:
+        weil_to_cartier(divisor, fan, group)
+    for cone in fan.cones:
+        reductor_piece(family, cone, fan, group)
+    # one elimination per cone, plus one for the lattice basis
+    assert len(calls) == len(fan.cones) + 1
 
 
 def test_x_valuation_goldens(g8, g3, g4):
