@@ -48,11 +48,13 @@ from .gdivisor import (
     GWeilDivisor,
     monomial_string,
     parse_character,
+    ray_coefficients,
     weil_to_cartier,
 )
 from .group import Character, GroupData
 from .toric import (
     Fan,
+    LatticeL,
     build_lattice,
     discrepancy,
     junior_simplex,
@@ -109,27 +111,38 @@ def _json_list(value, what: str) -> list:
     return value
 
 
-def _parse_group(obj) -> GroupData:
+def _json_int(value, what: str) -> int:
+    # int() would truncate 3.7 and read true as 1
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer, not {value!r}")
+    return value
+
+
+def _json_ints(value, what: str) -> list[int]:
+    return [_json_int(x, f"{what} entry") for x in _json_list(value, what)]
+
+
+def _parse_group(obj) -> tuple[GroupData, LatticeL]:
+    """The group and its lattice; build_lattice rejects an action that is
+    not faithful, since then |L / Z^n| < |G|."""
     if not isinstance(obj, dict):
         raise InputError("problem file needs a 'group' object")
     try:
         if "cyclic" in obj:
             spec = obj["cyclic"]
-            group = GroupData.cyclic(int(spec["order"]), [
-                int(w) for w in _json_list(spec["weights"], "weights")
-            ])
+            group = GroupData.cyclic(_json_int(spec["order"], "order"),
+                                     _json_ints(spec["weights"], "weights"))
         elif "abelian" in obj:
             spec = obj["abelian"]
             group = GroupData(
-                tuple(int(d) for d in _json_list(spec["orders"], "orders")),
-                tuple(tuple(int(w) for w in _json_list(row, "weight row"))
+                tuple(_json_ints(spec["orders"], "orders")),
+                tuple(tuple(_json_ints(row, "weight row"))
                       for row in _json_list(spec["weight_matrix"],
                                             "weight_matrix")),
             )
         else:
             raise InputError("group must be given as 'cyclic' or 'abelian'")
-        group.validate()
-        return group
+        return group, build_lattice(group)
     except InputError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -141,19 +154,18 @@ def load_problem(path: str):
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise InputError("problem file must be a JSON object")
-    group = _parse_group(obj.get("group"))
+    group, lattice = _parse_group(obj.get("group"))
     fan_spec = obj.get("fan")
     if not isinstance(fan_spec, dict):
         raise InputError("problem file needs a 'fan' object")
     try:
-        lattice = build_lattice(group)
         rays = [
             [Fraction(str(x)) for x in _json_list(vec, "ray")]
             for vec in _json_list(fan_spec.get("rays", []), "rays")
         ]
         if any(len(vec) != group.dim for vec in rays):
             raise ValueError(f"every ray needs {group.dim} coordinates")
-        cones = [list(map(int, _json_list(c, "cone")))
+        cones = [_json_ints(c, "cone")
                  for c in _json_list(fan_spec.get("cones", []), "cones")]
         fan = make_fan(lattice, rays, cones)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -379,15 +391,9 @@ def cmd_cartier(args) -> int:
     if not isinstance(obj, dict):
         raise InputError("coefficient file must be a JSON object")
     try:
-        divisor = GWeilDivisor.from_map(character, {
-            int(str(key).lstrip("E")): Fraction(str(value))
-            for key, value in obj.items()
-        })
+        divisor = GWeilDivisor.from_map(character, ray_coefficients(obj, fan))
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"invalid coefficients: {exc}") from exc
-    unknown = set(divisor.support) - {r.label for r in fan.rays}
-    if unknown:
-        raise InputError(f"unknown ray labels {sorted(unknown)}")
     try:
         cartier = weil_to_cartier(divisor, fan, group)
     except CongruenceViolationError as exc:

@@ -24,13 +24,11 @@ def frac(q: RationalLike) -> Fraction:
     return Fraction(q.numerator % q.denominator, q.denominator)
 
 
-def dot(u: Sequence[RationalLike], v: Sequence[RationalLike]) -> Fraction:
+def dot(u: Sequence[Union[int, Fraction]],
+        v: Sequence[Union[int, Fraction]]) -> Fraction:
     if len(u) != len(v):
         raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    total = Fraction(0)
-    for a, b in zip(u, v):
-        total += Fraction(a) * Fraction(b)
-    return total
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def det_inverse(

@@ -15,21 +15,19 @@ is what makes the tables finite.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import prod
 from typing import Iterator, Mapping, Optional
 
+from .exact import frac
 from .gdivisor import (
     CongruenceViolationError,
     GWeilDivisor,
     congruence_violations,
     divisor_from_json,
     divisor_to_json,
-    frac_val,
     linear_equivalence_witness,
     monomial_string,
 )
@@ -102,92 +100,69 @@ class ReductorReport:
 def check_reductor(family: ReductorSet, fan: Fan,
                    group: GroupData) -> ReductorReport:
     """Verify structure, congruences and the multiplication inequalities."""
-    structure = []
-    expected = group.characters()
-    chars = list(family.characters)
-    if chars != expected:
-        structure.append(
-            "need exactly one divisor per character, sorted by residues"
+    chars = family.characters
+    if list(chars) != group.characters():
+        return ReductorReport(
+            ("need exactly one divisor per character, sorted by residues",),
+            (), (),
         )
-        return ReductorReport(tuple(structure), (), ())
 
-    congruence = []
-    for divisor in family.divisors:
-        for label in congruence_violations(divisor, fan, group):
-            congruence.append((divisor.character, label))
-
+    incongruent: list[list[int]] = [[] for _ in chars]  # labels per char
     condition = []
-    gens = [group.generator_character(j) for j in range(group.dim)]
-    index_of = {c: i for i, c in enumerate(expected)}
-    targets = [
-        [index_of[char * gen] for gen in gens] for char in expected
-    ]
     coeff_maps = [d.as_map() for d in family.divisors]
     zero = Fraction(0)
     for ray in fan.rays:
         label = ray.label
         costs = ray.vector
+        shifts = group.shortest_paths(costs)
         q = [cm.get(label, zero) for cm in coeff_maps]
-        for i, char in enumerate(expected):
-            row = targets[i]
-            for j in range(group.dim):
-                if q[i] + costs[j] - q[row[j]] < 0:
-                    condition.append((char, j + 1, label))
-    return ReductorReport((), tuple(congruence), tuple(condition))
+        for i, row in enumerate(group.steps):
+            if (q[i] - shifts[i]).denominator != 1:
+                incongruent[i].append(label)
+            for j, target in enumerate(row):
+                if q[i] + costs[j] - q[target] < 0:
+                    condition.append((chars[i], j + 1, label))
+    labels = {ray.label for ray in fan.rays}
+    for bad, cm in zip(incongruent, coeff_maps):
+        bad.extend(sorted(set(cm) - labels))
+    congruence = tuple(
+        (char, label) for char, bad in zip(chars, incongruent) for label in bad
+    )
+    return ReductorReport((), congruence, tuple(condition))
+
+
+def _family_of_shifts(fan: Fan, group: GroupData, value) -> ReductorSet:
+    """D_chi has coefficient value(M(chi)) at each ray, for the ray's
+    maximal shifts M."""
+    per_ray = [
+        (ray.label, group.shortest_paths(ray.vector)) for ray in fan.rays
+    ]
+    return ReductorSet(tuple(
+        GWeilDivisor.from_map(
+            char, {label: value(shifts[i]) for label, shifts in per_ray}
+        )
+        for i, char in enumerate(group.characters())
+    ))
 
 
 def canonical_family(fan: Fan, group: GroupData) -> ReductorSet:
-    """The fractional-valuation family: D_chi = sum_i v(E_i, chi) E_i."""
-    divisors = []
-    for char in group.characters():
-        coeffs = {
-            ray.label: frac_val(ray, char, group) for ray in fan.rays
-        }
-        divisors.append(GWeilDivisor.from_map(char, coeffs))
-    return ReductorSet(tuple(divisors))
+    """The fractional-valuation family: D_chi = sum_i v(E_i, chi) E_i, where
+    v(E_i, chi) = frac_val, the fractional part of the maximal shift."""
+    return _family_of_shifts(fan, group, frac)
 
 
-@lru_cache(maxsize=None)
 def maximal_shift_values(ray: Ray, group: GroupData) -> dict[Character, Fraction]:
     """Cheapest valuation along the ray of a regular monomial per weight.
 
     Single-source shortest paths on the character group: one step per
     coordinate x_j, landing on char * weight(x_j) at cost e_i(u_j) >= 0.
     """
-    gens = [
-        (group.generator_character(j), ray.vector[j])
-        for j in range(group.dim)
-    ]
-    start = group.trivial_character
-    dist: dict[Character, Fraction] = {start: Fraction(0)}
-    heap: list[tuple[Fraction, tuple[int, ...], Character]] = [
-        (Fraction(0), start.residues, start)
-    ]
-    while heap:
-        d, _, char = heapq.heappop(heap)
-        if d > dist[char]:
-            continue
-        for gen, cost in gens:
-            nxt = char * gen
-            nd = d + cost
-            if nxt not in dist or nd < dist[nxt]:
-                dist[nxt] = nd
-                heapq.heappush(heap, (nd, nxt.residues, nxt))
-    return dist
+    return dict(zip(group.characters(), group.shortest_paths(ray.vector)))
 
 
 def maximal_shift_family(fan: Fan, group: GroupData) -> ReductorSet:
     """The family of divisors of cheapest weight-chi monomials per ray."""
-    per_ray = {
-        ray.label: maximal_shift_values(ray, group) for ray in fan.rays
-    }
-    divisors = []
-    for char in group.characters():
-        coeffs = {
-            ray.label: per_ray[ray.label][char] for ray in fan.rays
-        }
-        divisors.append(GWeilDivisor.from_map(char, coeffs))
-    return ReductorSet(tuple(divisors))
+    return _family_of_shifts(fan, group, lambda shift: shift)
 
 
 @dataclass(frozen=True)
@@ -216,14 +191,12 @@ def enumerate_per_ray(ray: Ray, group: GroupData) -> PerRayTable:
     already assigned, and rows come out in lexicographic order.
     """
     chars = group.characters()
-    shifts = maximal_shift_values(ray, group)
-    index_of = {c: i for i, c in enumerate(chars)}
+    shifts = group.shortest_paths(ray.vector)
     count = len(chars)
 
     candidates: list[list[Fraction]] = []
-    for char in chars:
-        high = shifts[char]
-        low = -shifts[char.inverse()]
+    for high, inverse in zip(shifts, group.inverses):
+        low = -shifts[inverse]
         span = high - low
         assert span.denominator == 1, "bounds must be congruent"
         candidates.append([low + k for k in range(int(span) + 1)])
@@ -231,10 +204,8 @@ def enumerate_per_ray(ray: Ray, group: GroupData) -> PerRayTable:
     # edges (source index, target index, step cost), grouped by the larger
     # endpoint so each is checked as soon as both ends are assigned
     pending: list[list[tuple[int, int, Fraction]]] = [[] for _ in chars]
-    for i, char in enumerate(chars):
-        for j in range(group.dim):
-            target = index_of[char * group.generator_character(j)]
-            cost = ray.vector[j]
+    for i, row in enumerate(group.steps):
+        for target, cost in zip(row, ray.vector):
             pending[max(i, target)].append((i, target, cost))
 
     rows: list[tuple[Fraction, ...]] = []
@@ -353,13 +324,14 @@ def bounds_check(family: ReductorSet, fan: Fan,
         return BoundsReport(False, ())
     violations = []
     for ray in fan.rays:
-        shifts = maximal_shift_values(ray, group)
+        shifts = group.shortest_paths(ray.vector)
         for divisor in family.divisors:
             q = divisor.coefficient(ray.label)
             char = divisor.character
-            if q > shifts[char]:
+            i = group.index[char]
+            if q > shifts[i]:
                 violations.append((char, ray.label, "upper"))
-            if q < -shifts[char.inverse()]:
+            if q < -shifts[group.inverses[i]]:
                 violations.append((char, ray.label, "lower"))
     return BoundsReport(True, tuple(violations))
 
@@ -371,9 +343,6 @@ class ReductorPiece:
     cone: Cone
     characters: tuple[Character, ...]
     exponents: tuple[tuple[int, ...], ...]
-
-    def exponent(self, char: Character) -> tuple[int, ...]:
-        return self.exponents[self.characters.index(char)]
 
     def monomials(self) -> tuple[str, ...]:
         return tuple(monomial_string(m) for m in self.exponents)
@@ -457,12 +426,13 @@ def quiver(family: ReductorSet, cone: Cone, fan: Fan,
            group: GroupData) -> QuiverRep:
     """Arrows chi -> chi * weight(x_j) labeled p_chi + u_j - p_target."""
     piece = reductor_piece(family, cone, fan, group)
+    chars = group.characters()
+    exponents = dict(zip(piece.characters, piece.exponents))
     arrows = []
     for char, exponent in zip(piece.characters, piece.exponents):
-        for j in range(group.dim):
-            gen = group.generator_character(j)
-            target = char * gen
-            target_exp = piece.exponent(target)
+        for j, step in enumerate(group.steps[group.index[char]]):
+            target = chars[step]
+            target_exp = exponents[target]
             label = tuple(
                 e + int(i == j) - t
                 for i, (e, t) in enumerate(zip(exponent, target_exp))

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 from .exact import frac
 from .group import Character, GroupData
-from .toric import Fan, chart_exponent, pairing
+from .toric import Fan, Ray, chart_exponent, pairing
 
 
 class CongruenceViolationError(ValueError):
@@ -139,14 +138,14 @@ class GCartierDivisor:
         )
 
 
-@lru_cache(maxsize=None)
-def frac_val(ray, char: Character, group: GroupData) -> Fraction:
+def frac_val(ray: Ray, char: Character, group: GroupData) -> Fraction:
     """Fractional valuation of weight-char monomials along the ray.
 
-    Independent of the representative monomial: two weight-char exponents
-    differ by an invariant one, which pairs integrally with lattice points.
+    Independent of the monomial: two weight-char exponents differ by an
+    invariant one, which pairs integrally with lattice points. The cheapest
+    one, the maximal shift, is read from the group's shortest paths.
     """
-    return frac(pairing(ray, group.representative_monomial(char)))
+    return frac(group.shortest_paths(ray.vector)[group.index[char]])
 
 
 def principal_divisor(m: Sequence[int], fan: Fan,
@@ -160,14 +159,14 @@ def principal_divisor(m: Sequence[int], fan: Fan,
 
 def congruence_violations(divisor: GWeilDivisor, fan: Fan,
                           group: GroupData) -> list[int]:
-    """Labels of fan rays where coefficient - frac_val is not an integer."""
-    bad = []
-    for ray in fan.rays:
-        delta = divisor.coefficient(ray.label) - frac_val(
-            ray, divisor.character, group
-        )
-        if delta.denominator != 1:
-            bad.append(ray.label)
+    """Labels of fan rays where the coefficient is not congruent mod Z to
+    the maximal shift (so not to frac_val), then labels not in the fan."""
+    i = group.index[divisor.character]
+    bad = [
+        ray.label for ray in fan.rays
+        if (divisor.coefficient(ray.label)
+            - group.shortest_paths(ray.vector)[i]).denominator != 1
+    ]
     unknown = {label for label, _ in divisor.entries} - {
         r.label for r in fan.rays
     }
@@ -289,7 +288,10 @@ def parse_character(raw, group: GroupData) -> Character:
             raise ValueError(
                 f"character needs {len(group.orders)} residues, got {len(raw)}"
             )
-        return group.character(tuple(int(x) for x in raw))
+        # int() would truncate 1.5 and read true as 1
+        if any(type(x) is not int for x in raw):
+            raise ValueError(f"character residues must be integers, not {raw!r}")
+        return group.character(tuple(raw))
     raise ValueError(f"cannot parse character from {raw!r}")
 
 
@@ -298,10 +300,17 @@ def divisor_from_json(obj: Mapping, fan: Fan,
     if not isinstance(obj, Mapping) or "char" not in obj:
         raise ValueError("divisor object needs 'char' and 'coeffs'")
     character = parse_character(obj["char"], group)
-    known = {f"E{r.label}": r.label for r in fan.rays}
+    return GWeilDivisor.from_map(
+        character, ray_coefficients(dict(obj.get("coeffs", {})), fan)
+    )
+
+
+def ray_coefficients(raw: Mapping, fan: Fan) -> dict[int, Fraction]:
+    """Exact coefficients keyed by ray name, exactly as "E4" for E4."""
+    labels = {ray.name: ray.label for ray in fan.rays}
     coeffs = {}
-    for key, value in dict(obj.get("coeffs", {})).items():
-        if key not in known:
+    for key, value in raw.items():
+        if key not in labels:
             raise ValueError(f"unknown ray label {key!r}")
-        coeffs[known[key]] = Fraction(str(value))
-    return GWeilDivisor.from_map(character, coeffs)
+        coeffs[labels[key]] = Fraction(str(value))
+    return coeffs

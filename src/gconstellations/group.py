@@ -5,16 +5,21 @@ together with a k x n weight matrix: column i is the character by which the
 coordinate x_i transforms. The weight map sends a Laurent exponent m to the
 character of the monomial x^m; its kernel is the sublattice of invariant
 monomials.
+
+Each group builds its Cayley graph once: characters are indexed in residue
+order, and a step along x_j moves from chi to chi * weight(x_j). Shortest
+paths on that graph give the cheapest weight-chi monomials along a ray.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from math import prod
-from typing import Sequence
+from typing import Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,8 @@ class GroupData:
         )
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "weights", weights)
+        # shortest_paths results, keyed by cost vector
+        object.__setattr__(self, "_paths", {})
 
     @classmethod
     def cyclic(cls, order: int, weights: Sequence[int]) -> "GroupData":
@@ -121,6 +128,24 @@ class GroupData:
             for res in itertools.product(*(range(d) for d in self.orders))
         ]
 
+    @cached_property
+    def index(self) -> dict[Character, int]:
+        """Position of each character in characters()."""
+        return {char: i for i, char in enumerate(self.characters())}
+
+    @cached_property
+    def steps(self) -> tuple[tuple[int, ...], ...]:
+        """The Cayley graph of the weights: steps[i][j] is the index of
+        characters()[i] * weight(x_{j+1})."""
+        gens = [self.generator_character(j) for j in range(self.dim)]
+        return tuple(tuple(self.index[char * gen] for gen in gens)
+                     for char in self.index)
+
+    @cached_property
+    def inverses(self) -> tuple[int, ...]:
+        """inverses[i] is the index of the inverse of characters()[i]."""
+        return tuple(self.index[char.inverse()] for char in self.index)
+
     def weight(self, m: Sequence[int]) -> Character:
         """Character of the Laurent monomial with exponent m."""
         if len(m) != self.dim:
@@ -130,44 +155,32 @@ class GroupData:
                   for row, d in zip(self.weights, self.orders))
         )
 
-    def representative_monomial(self, char: Character) -> tuple[int, ...]:
-        """Some m >= 0 with weight(m) = char; entries bounded by |G|."""
-        try:
-            return self._representative_table[char]
-        except KeyError:
-            raise ValueError(
-                f"{char.name} is not hit by the weight map; action not faithful"
-            ) from None
+    def shortest_paths(self, costs: tuple[Fraction, ...]
+                       ) -> tuple[Fraction, ...]:
+        """Cheapest path from the trivial character to each character, by
+        index, when a step along x_{j+1} costs costs[j] >= 0 (Dijkstra).
 
-    def validate(self) -> None:
-        """Raise ValueError unless the weight map is surjective."""
-        missing = self.order - len(self._representative_table)
-        if missing:
-            raise ValueError(
-                f"weight map is not surjective ({missing} of {self.order} "
-                "characters unreachable); the weight matrix does not define a "
-                "faithful diagonal action"
-            )
-
-    @cached_property
-    def _representative_table(self) -> dict[Character, tuple[int, ...]]:
-        """Breadth-first search over monomials: one representative per
-        character.
-
-        Paths in the search have length < |G|, so every entry is <= |G|.
+        With a ray's coordinates as costs this is the cheapest valuation of
+        a weight-chi monomial along the ray. Results are kept per cost
+        vector on this instance.
         """
-        start = (0,) * self.dim
-        table = {self.trivial_character: start}
-        queue = deque([(self.trivial_character, start)])
-        gens = [self.generator_character(j) for j in range(self.dim)]
-        while queue:
-            char, mono = queue.popleft()
-            for j, gen in enumerate(gens):
-                nxt = char * gen
-                if nxt not in table:
-                    bumped = tuple(
-                        e + 1 if i == j else e for i, e in enumerate(mono)
-                    )
-                    table[nxt] = bumped
-                    queue.append((nxt, bumped))
-        return table
+        if costs in self._paths:
+            return self._paths[costs]
+        dist: list[Optional[Fraction]] = [None] * self.order
+        dist[0] = Fraction(0)
+        heap = [(dist[0], 0)]
+        steps = self.steps
+        while heap:
+            d, i = heapq.heappop(heap)
+            if d > dist[i]:
+                continue
+            for cost, target in zip(costs, steps[i]):
+                nd = d + cost
+                if dist[target] is None or nd < dist[target]:
+                    dist[target] = nd
+                    heapq.heappush(heap, (nd, target))
+        if None in dist:
+            raise ValueError("weight map is not surjective; the weight matrix "
+                             "does not define a faithful diagonal action")
+        self._paths[costs] = result = tuple(dist)
+        return result

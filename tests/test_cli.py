@@ -40,6 +40,18 @@ def write_set(tmp_path, family, name="set.json"):
     return str(path)
 
 
+def edit_problem(tmp_path, source, path, value):
+    """A copy of problems/<source> with the entry at the key path replaced."""
+    problem = json.loads((PROBLEMS / source).read_text())
+    parent = problem
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(problem))
+    return str(edited)
+
+
 # info --------------------------------------------------------------------
 
 def test_info_text(capsys):
@@ -333,7 +345,8 @@ def test_cartier_unknown_ray(capsys, tmp_path):
     code, out, _ = run(capsys, "cartier", "--input", RUNNING,
                        "--char", "0", "--coeffs", str(coeffs))
     assert code == 1
-    assert "unknown ray labels [9]" in json.loads(out)["detail"]
+    assert json.loads(out)["detail"] == (
+        "invalid coefficients: unknown ray label 'E9'")
 
 
 # shift / reflect / equiv -------------------------------------------------
@@ -488,16 +501,67 @@ def test_wrong_fans_rejected(capsys, tmp_path, name, source, cones, command):
 ])
 def test_string_for_list_rejected(capsys, tmp_path, source, path, value):
     # a JSON string must not pass as the list of its characters
-    problem = json.loads((PROBLEMS / source).read_text())
-    parent = problem
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
-    bad = tmp_path / "string.json"
-    bad.write_text(json.dumps(problem))
-    code, out, _ = run(capsys, "info", "--input", str(bad))
+    bad = edit_problem(tmp_path, source, path, value)
+    code, out, _ = run(capsys, "info", "--input", bad)
     assert code == 1
     assert "must be a JSON list" in json.loads(out)["detail"]
+
+
+@pytest.mark.parametrize("source, path, value", [
+    ("c3_111.json", ("fan", "cones", 0), [1.9, 2, 4]),
+    ("c3_111.json", ("fan", "cones", 0), [True, 2, 4]),
+    ("c3_111.json", ("group", "cyclic", "weights"), [1.7, 1, 1]),
+    ("c3_111.json", ("group", "cyclic", "weights"), [True, 1, 1]),
+    ("c3_111.json", ("group", "cyclic", "order"), 3.7),
+    ("ab22_axes.json", ("group", "abelian", "orders"), [2.5, 2]),
+    ("ab22_axes.json", ("group", "abelian", "weight_matrix"),
+     [[True, 0], [0, 1]]),
+])
+def test_non_integer_json_rejected(capsys, tmp_path, source, path, value):
+    # int() would read 1.9 as 1 and true as 1 and accept the problem
+    bad = edit_problem(tmp_path, source, path, value)
+    code, out, _ = run(capsys, "enumerate", "--count-only", "--input", bad)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "invalid input"
+    assert "JSON integer" in payload["detail"]
+
+
+@pytest.mark.parametrize("char", [[1.5], [True]])
+def test_set_file_non_integer_character(capsys, running_problem, tmp_path,
+                                        char):
+    group, fan, _ = running_problem
+    obj = reductor_set_to_json(canonical_family(fan, group))
+    assert obj["divisors"][1]["char"] == [1]
+    obj["divisors"][1]["char"] = char
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "check", "--input", RUNNING,
+                       "--set", str(path))
+    assert code == 1
+    assert "residues must be integers" in json.loads(out)["detail"]
+
+
+@pytest.mark.parametrize("key", ["EE4", "4", " 4", "E04"])
+def test_cartier_key_must_be_ray_name(capsys, tmp_path, key):
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps({key: "7/4", "E5": "1/2", "E7": "-1/4"}))
+    code, out, _ = run(capsys, "cartier", "--input", RUNNING,
+                       "--char", "6", "--coeffs", str(coeffs))
+    assert code == 1
+    assert json.loads(out)["detail"] == (
+        f"invalid coefficients: unknown ray label {key!r}")
+
+
+def test_non_faithful_group_rejected(capsys, tmp_path):
+    # weights (2, 2, 0) mod 4 miss the odd characters
+    bad = edit_problem(tmp_path, "c3_111.json", ("group",),
+                       {"cyclic": {"order": 4, "weights": [2, 2, 0]}})
+    code, out, _ = run(capsys, "info", "--input", bad)
+    assert code == 1
+    detail = json.loads(out)["detail"]
+    assert detail.startswith("invalid group")
+    assert "not surjective" in detail
 
 
 def test_bad_character_argument(capsys, tmp_path, running_problem):

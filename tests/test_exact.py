@@ -39,6 +39,9 @@ def test_frac_idempotent_random():
 def test_dot():
     assert dot((1, 2, 3), (4, 5, 6)) == 32
     assert dot((Fraction(1, 2), Fraction(1, 3)), (2, 3)) == 2
+    assert type(dot((1, 2, 3), (4, 5, 6))) is Fraction
+    assert type(dot((Fraction(1, 2),), (2,))) is Fraction
+    assert type(dot((), ())) is Fraction
 
 
 def test_det_small_goldens():

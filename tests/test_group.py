@@ -1,11 +1,12 @@
 """Group data, characters and the weight map."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from gconstellations import Character, GroupData
-from oracles import monomials_of_weight
+from gconstellations import GroupData, build_lattice
+from oracles import monomials_of_weight, representative_monomial
 
 
 def test_character_reduction_and_algebra():
@@ -82,35 +83,45 @@ def test_representative_monomials_cover_all_characters():
     for g in (GroupData.cyclic(8, (1, 2, 5)),
               GroupData.cyclic(3, (1, 2)),
               GroupData((2, 2), ((1, 0), (0, 1)))):
+        # unit step costs: the shortest path to chi is the least degree of
+        # a weight-chi monomial, the degree of the breadth-first oracle's
+        unit = g.shortest_paths((Fraction(1),) * g.dim)
         for char in g.characters():
-            m = g.representative_monomial(char)
+            m = representative_monomial(g, char)
             assert g.weight(m) == char
             assert all(0 <= e <= g.order for e in m)
+            assert unit[g.index[char]] == sum(m)
 
 
 def test_representative_monomial_random_consistency():
     rng = random.Random(5)
     g = GroupData.cyclic(8, (1, 2, 5))
+    unit = g.shortest_paths((Fraction(1),) * 3)
     for _ in range(100):
         m = tuple(rng.randint(0, 20) for _ in range(3))
         char = g.weight(m)
-        rep = g.representative_monomial(char)
+        rep = representative_monomial(g, char)
         assert g.weight(rep) == char
+        assert unit[g.index[char]] == sum(rep) <= sum(m)
 
 
 def test_validate_rejects_non_surjective_weights():
     # weights (2,2) mod 4 only reach even characters
     g = GroupData.cyclic(4, (2, 2))
+    with pytest.raises(ValueError, match="not surjective"):
+        build_lattice(g)
+    with pytest.raises(ValueError, match="not surjective"):
+        g.shortest_paths((Fraction(1), Fraction(1)))
     with pytest.raises(ValueError):
-        g.validate()
-    with pytest.raises(ValueError):
-        g.representative_monomial(g.character((1,)))
+        representative_monomial(g, g.character((1,)))
 
 
 def test_validate_accepts_faithful_actions():
-    GroupData.cyclic(8, (1, 2, 5)).validate()
-    GroupData((2, 2), ((1, 0), (0, 1))).validate()
-    GroupData.cyclic(1, (0,)).validate()
+    for g in (GroupData.cyclic(8, (1, 2, 5)),
+              GroupData((2, 2), ((1, 0), (0, 1))),
+              GroupData.cyclic(1, (0,))):
+        assert build_lattice(g).index == g.order
+        assert len(g.shortest_paths((Fraction(1),) * g.dim)) == g.order
 
 
 def test_monomials_of_weight_oracle():
