@@ -388,8 +388,6 @@ def cmd_cartier(args) -> int:
     group, fan, _ = load_problem(args.input)
     character = _parse_char_arg(args.char, group)
     obj = _load_json(args.coeffs)
-    if not isinstance(obj, dict):
-        raise InputError("coefficient file must be a JSON object")
     try:
         divisor = GWeilDivisor.from_map(character, ray_coefficients(obj, fan))
     except (TypeError, ValueError, ZeroDivisionError) as exc:

@@ -10,7 +10,6 @@ result instead of eliminating the same matrix again.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 Rational = Fraction
@@ -105,15 +104,3 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[list[int]]:
                 break
     return [row for row in m if any(row)]
 
-
-def rational_lcm(values: Sequence[Fraction]) -> Fraction:
-    """Smallest positive generator of the intersection of the groups v_j * Z.
-
-    For nonzero rationals v_j = p_j/q_j in lowest terms this is
-    lcm(p_j)/gcd(q_j); zeros are not allowed.
-    """
-    if not values or any(v == 0 for v in values):
-        raise ValueError("rational_lcm needs nonzero values")
-    nums = [abs(Fraction(v).numerator) for v in values]
-    dens = [Fraction(v).denominator for v in values]
-    return Fraction(lcm(*nums), gcd(*dens))

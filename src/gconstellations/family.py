@@ -182,48 +182,60 @@ class PerRayTable:
 
 
 def enumerate_per_ray(ray: Ray, group: GroupData) -> PerRayTable:
-    """Depth-first search over the finite per-ray coefficient grid.
+    """Every admissible coefficient row at one ray, in lexicographic order.
 
-    Candidates for q_chi run through the congruence class of the fractional
-    valuation inside [-M(chi^-1), M(chi)] in unit steps; the trivial
-    character is pinned to 0, which the bounds enforce on their own. Partial
-    assignments are pruned against every inequality whose two endpoints are
-    already assigned, and rows come out in lexicographic order.
+    q_chi = low_chi + c_chi with low_chi = -M(chi^-1) and an integer position
+    0 <= c_chi <= M(chi) - low_chi; the trivial character has only 0. Along
+    x_j from s to t, q_s + e_j - q_t >= 0 reads c_t <= c_s + b with
+    b = low_s + e_j - low_t. One loop assigns the characters in order.
     """
     chars = group.characters()
-    shifts = group.shortest_paths(ray.vector)
     count = len(chars)
-
-    candidates: list[list[Fraction]] = []
-    for high, inverse in zip(shifts, group.inverses):
-        low = -shifts[inverse]
-        span = high - low
-        assert span.denominator == 1, "bounds must be congruent"
-        candidates.append([low + k for k in range(int(span) + 1)])
-
-    # edges (source index, target index, step cost), grouped by the larger
-    # endpoint so each is checked as soon as both ends are assigned
-    pending: list[list[tuple[int, int, Fraction]]] = [[] for _ in chars]
-    for i, row in enumerate(group.steps):
-        for target, cost in zip(row, ray.vector):
-            pending[max(i, target)].append((i, target, cost))
-
+    shifts = group.shortest_paths(ray.vector)
+    lows = [-shifts[inverse] for inverse in group.inverses]
+    spans = [high - low for high, low in zip(shifts, lows)]
+    edges = [(s, t, lows[s] + cost - lows[t])
+             for s, row in enumerate(group.steps)
+             for t, cost in zip(row, ray.vector)]
+    if any(q.denominator != 1 for q in spans + [b for _, _, b in edges]):
+        raise ValueError(f"{ray.name}: the per-ray bounds are not congruent")
+    candidates = [[low + k for k in range(span.numerator + 1)]
+                  for low, span in zip(lows, spans)]
+    # uppers[t] holds (s, b) for s < t: c_t <= c_s + b; lowers[s] holds
+    # (t, b) for t < s: c_s >= c_t - b; a loop holds since costs are >= 0
+    uppers: list[list[tuple[int, int]]] = [[] for _ in chars]
+    lowers: list[list[tuple[int, int]]] = [[] for _ in chars]
+    for s, t, b in edges:
+        if s < t:
+            uppers[t].append((s, b.numerator))
+        elif t < s:
+            lowers[s].append((t, b.numerator))
     rows: list[tuple[Fraction, ...]] = []
-    assignment: list[Fraction] = [Fraction(0)] * count
-
-    def extend(position: int) -> None:
-        if position == count:
-            rows.append(tuple(assignment))
-            return
-        for value in candidates[position]:
-            assignment[position] = value
-            if all(
-                assignment[s] + cost - assignment[t] >= 0
-                for s, t, cost in pending[position]
-            ):
-                extend(position + 1)
-
-    extend(0)
+    c = [0] * count    # current position per character
+    top = [0] * count  # largest admissible position given the earlier ones
+    k = 0
+    while k >= 0:
+        if k == count:
+            rows.append(tuple([cand[i] for cand, i in zip(candidates, c)]))
+        else:
+            lo, hi = 0, len(candidates[k]) - 1
+            for t, b in lowers[k]:
+                if c[t] - b > lo:
+                    lo = c[t] - b
+            for s, b in uppers[k]:
+                if c[s] + b < hi:
+                    hi = c[s] + b
+            if lo <= hi:
+                c[k], top[k] = lo, hi
+                k += 1
+                continue
+        # back up to the last character with a larger position left
+        k -= 1
+        while k >= 0 and c[k] == top[k]:
+            k -= 1
+        if k >= 0:
+            c[k] += 1
+            k += 1
     return PerRayTable(ray.label, tuple(chars), tuple(rows))
 
 
@@ -238,19 +250,16 @@ class NormalizedEnumeration:
 
     def sets(self, limit: Optional[int] = None) -> Iterator[ReductorSet]:
         chars = self.group.characters()
-        emitted = 0
-        for combo in itertools.product(*(t.rows for t in self.tables)):
-            if limit is not None and emitted >= limit:
-                return
-            divisors = []
-            for c, char in enumerate(chars):
-                coeffs = {
-                    table.ray_label: row[c]
-                    for table, row in zip(self.tables, combo)
-                }
-                divisors.append(GWeilDivisor.from_map(char, coeffs))
-            emitted += 1
-            yield ReductorSet(tuple(divisors))
+        labels = [t.ray_label for t in self.tables]
+        combos = itertools.product(*(t.rows for t in self.tables))
+        if limit is not None:
+            combos = itertools.islice(combos, max(limit, 0))
+        for combo in combos:
+            yield ReductorSet(tuple(
+                GWeilDivisor.from_map(
+                    char, {label: row[c] for label, row in zip(labels, combo)})
+                for c, char in enumerate(chars)
+            ))
 
     def __iter__(self) -> Iterator[ReductorSet]:
         return self.sets()

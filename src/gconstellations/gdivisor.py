@@ -301,12 +301,14 @@ def divisor_from_json(obj: Mapping, fan: Fan,
         raise ValueError("divisor object needs 'char' and 'coeffs'")
     character = parse_character(obj["char"], group)
     return GWeilDivisor.from_map(
-        character, ray_coefficients(dict(obj.get("coeffs", {})), fan)
+        character, ray_coefficients(obj.get("coeffs", {}), fan)
     )
 
 
 def ray_coefficients(raw: Mapping, fan: Fan) -> dict[int, Fraction]:
     """Exact coefficients keyed by ray name, exactly as "E4" for E4."""
+    if not isinstance(raw, Mapping):
+        raise ValueError("coefficients must be an object keyed by ray name")
     labels = {ray.name: ray.label for ray in fan.rays}
     coeffs = {}
     for key, value in raw.items():

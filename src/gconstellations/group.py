@@ -75,7 +75,10 @@ class GroupData:
     weights: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        orders = tuple(int(d) for d in self.orders)
+        orders = tuple(self.orders)
+        for x in itertools.chain(orders, *self.weights):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ValueError(f"orders and weights must be integers: {x!r}")
         if not orders or any(d < 1 for d in orders):
             raise ValueError("need at least one cyclic factor, orders >= 1")
         if len(self.weights) != len(orders):
@@ -84,7 +87,7 @@ class GroupData:
         if len(widths) != 1 or widths == {0}:
             raise ValueError("weight rows must share a positive length")
         weights = tuple(
-            tuple(int(w) % d for w in row)
+            tuple(w % d for w in row)
             for row, d in zip(self.weights, orders)
         )
         object.__setattr__(self, "orders", orders)

@@ -19,7 +19,7 @@ from math import gcd, lcm, prod
 from typing import Optional, Sequence
 
 from . import exact
-from .exact import dot, frac, hermite_normal_form, rational_lcm
+from .exact import dot, frac, hermite_normal_form
 from .group import GroupData
 
 Vector = tuple[Fraction, ...]
@@ -287,11 +287,11 @@ def x_valuation_on_X(lattice: LatticeL, axis: int) -> Fraction:
     """
     if not 1 <= axis <= lattice.dim:
         raise ValueError(f"axis must be in 1..{lattice.dim}")
-    inv = lattice._inverse  # type: ignore[attr-defined]
-    row = inv[axis - 1]
-    # c * row integral <=> c in the intersection of the groups (1/w)Z
-    generators = [Fraction(w.denominator, abs(w.numerator)) for w in row if w]
-    return rational_lcm(generators)
+    row = lattice._inverse[axis - 1]  # type: ignore[attr-defined]
+    # c * row is integral exactly for c in (lcm of denominators / gcd of
+    # numerators) * Z
+    return Fraction(lcm(*(w.denominator for w in row)),
+                    gcd(*(w.numerator for w in row)))
 
 
 @dataclass(frozen=True)

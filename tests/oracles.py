@@ -3,7 +3,9 @@
 `mat_mul` multiplies exact matrices to check inverses; `monomials_of_weight`
 lists every monomial of a given weight in a bounded grid, the oracle for
 the maximal-shift values; `representative_monomial` finds one monomial of
-each weight by breadth-first search, the oracle for frac_val.
+each weight by breadth-first search, the oracle for frac_val;
+`enumerate_per_ray_dfs` is the recursive per-ray search, the oracle for
+`enumerate_per_ray`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from gconstellations import Character, GroupData
+from gconstellations import Character, GroupData, PerRayTable, Ray
 from gconstellations.exact import dot
 
 
@@ -53,3 +55,49 @@ def representative_monomial(group: GroupData,
         return table[char]
     except KeyError:
         raise ValueError(f"{char.name} is not hit by the weight map") from None
+
+
+def enumerate_per_ray_dfs(ray: Ray, group: GroupData) -> PerRayTable:
+    """Depth-first search over the finite per-ray coefficient grid.
+
+    Candidates for q_chi run through the congruence class of the fractional
+    valuation inside [-M(chi^-1), M(chi)] in unit steps; the trivial
+    character is pinned to 0, which the bounds enforce on their own. Partial
+    assignments are pruned against every inequality whose two endpoints are
+    already assigned, and rows come out in lexicographic order.
+    """
+    chars = group.characters()
+    shifts = group.shortest_paths(ray.vector)
+    count = len(chars)
+
+    candidates: list[list[Fraction]] = []
+    for high, inverse in zip(shifts, group.inverses):
+        low = -shifts[inverse]
+        span = high - low
+        assert span.denominator == 1, "bounds must be congruent"
+        candidates.append([low + k for k in range(int(span) + 1)])
+
+    # edges (source index, target index, step cost), grouped by the larger
+    # endpoint so each is checked as soon as both ends are assigned
+    pending: list[list[tuple[int, int, Fraction]]] = [[] for _ in chars]
+    for i, row in enumerate(group.steps):
+        for target, cost in zip(row, ray.vector):
+            pending[max(i, target)].append((i, target, cost))
+
+    rows: list[tuple[Fraction, ...]] = []
+    assignment: list[Fraction] = [Fraction(0)] * count
+
+    def extend(position: int) -> None:
+        if position == count:
+            rows.append(tuple(assignment))
+            return
+        for value in candidates[position]:
+            assignment[position] = value
+            if all(
+                assignment[s] + cost - assignment[t] >= 0
+                for s, t, cost in pending[position]
+            ):
+                extend(position + 1)
+
+    extend(0)
+    return PerRayTable(ray.label, tuple(chars), tuple(rows))

@@ -1,5 +1,6 @@
-"""The per-group Cayley-graph table and its shortest paths, checked against
-Character arithmetic and brute-force oracles on random faithful groups."""
+"""The per-group Cayley-graph table, its shortest paths and the per-ray
+search, checked against Character arithmetic and brute-force and recursive
+oracles on random faithful groups."""
 
 from math import gcd
 
@@ -10,13 +11,18 @@ from gconstellations import (
     GroupData,
     Ray,
     build_lattice,
+    enumerate_per_ray,
     frac,
     frac_val,
     junior_simplex,
     maximal_shift_values,
     pairing,
 )
-from oracles import monomials_of_weight, representative_monomial
+from oracles import (
+    enumerate_per_ray_dfs,
+    monomials_of_weight,
+    representative_monomial,
+)
 
 PROPERTIES = settings(max_examples=100, deadline=None, derandomize=True,
                       suppress_health_check=[HealthCheck.filter_too_much])
@@ -46,10 +52,15 @@ def faithful_groups(draw):
 
 
 @st.composite
-def group_ray_character(draw):
+def group_and_ray(draw):
     group = draw(faithful_groups())
     points = junior_simplex(build_lattice(group))
-    ray = Ray(1, draw(st.sampled_from(points)))
+    return group, Ray(1, draw(st.sampled_from(points)))
+
+
+@st.composite
+def group_ray_character(draw):
+    group, ray = draw(group_and_ray())
     return group, ray, draw(st.sampled_from(group.characters()))
 
 
@@ -82,3 +93,15 @@ def test_frac_val_matches_representative_monomial(case):
     group, ray, char = case
     m = representative_monomial(group, char)
     assert frac_val(ray, char, group) == frac(pairing(ray, m))
+
+
+@PROPERTIES
+@given(group_and_ray())
+def test_per_ray_search_matches_recursive_dfs(case):
+    group, ray = case
+    # keep the recursive oracle affordable: wide grids such as 1/11(2,0) at
+    # (1, 0), 110 positions and 352,716 rows, take it minutes
+    shifts = group.shortest_paths(ray.vector)
+    assume(sum(shifts[i] + shifts[j] for i, j in enumerate(group.inverses))
+           <= 40)
+    assert enumerate_per_ray(ray, group) == enumerate_per_ray_dfs(ray, group)

@@ -553,6 +553,48 @@ def test_cartier_key_must_be_ray_name(capsys, tmp_path, key):
         f"invalid coefficients: unknown ray label {key!r}")
 
 
+def test_set_file_coeffs_must_be_object(capsys, tmp_path):
+    # a list of [name, value] pairs must not pass as the object it lists
+    problem = str(PROBLEMS / "c3_111.json")
+    group, fan, _ = load_problem(problem)
+    obj = reductor_set_to_json(canonical_family(fan, group))
+    for divisor in obj["divisors"]:
+        divisor["coeffs"] = [list(item) for item in divisor["coeffs"].items()]
+    assert any(d["coeffs"] for d in obj["divisors"])
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "check", "--input", problem, "--set", str(path))
+    assert code == 1
+    assert "coefficients must be an object" in json.loads(out)["detail"]
+
+
+def test_cartier_coeffs_must_be_object(capsys, tmp_path):
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps([["E4", "7/4"], ["E5", "1/2"]]))
+    code, out, _ = run(capsys, "cartier", "--input", RUNNING,
+                       "--char", "6", "--coeffs", str(coeffs))
+    assert code == 1
+    assert json.loads(out)["detail"] == (
+        "invalid coefficients: coefficients must be an object keyed by "
+        "ray name")
+
+
+def test_count_only_large_cyclic_surface(capsys, tmp_path):
+    # 1/1100(1,1) has a 1100-character per-ray search, deeper than the
+    # interpreter's recursion limit
+    problem = {
+        "group": {"cyclic": {"order": 1100, "weights": [1, 1]}},
+        "fan": {"rays": [["1", "0"], ["0", "1"], ["1/1100", "1/1100"]],
+                "cones": [[1, 3], [3, 2]]},
+    }
+    path = tmp_path / "c1100_11.json"
+    path.write_text(json.dumps(problem))
+    code, out, _ = run(capsys, "enumerate", "--input", str(path),
+                       "--count-only")
+    assert code == 0
+    assert out == "1100\n"
+
+
 def test_non_faithful_group_rejected(capsys, tmp_path):
     # weights (2, 2, 0) mod 4 miss the odd characters
     bad = edit_problem(tmp_path, "c3_111.json", ("group",),

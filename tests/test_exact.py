@@ -10,7 +10,6 @@ from gconstellations.exact import (
     dot,
     frac,
     hermite_normal_form,
-    rational_lcm,
 )
 from oracles import mat_mul
 
@@ -132,13 +131,3 @@ def test_hermite_preserves_row_lattice():
     assert all(reduces_to_zero(r) for r in rows)
     assert not reduces_to_zero([1, 0, 0])
 
-
-def test_rational_lcm():
-    assert rational_lcm([Fraction(1, 2), Fraction(1, 3)]) == 1
-    assert rational_lcm([Fraction(1, 2)]) == Fraction(1, 2)
-    assert rational_lcm([Fraction(2, 3), Fraction(1, 2)]) == 2
-    # result is the smallest positive element of the intersection
-    vals = [Fraction(3, 4), Fraction(5, 6)]
-    m = rational_lcm(vals)
-    for v in vals:
-        assert (m / v).denominator == 1

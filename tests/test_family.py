@@ -8,6 +8,7 @@ import pytest
 
 from gconstellations import (
     GWeilDivisor,
+    Ray,
     ReductorSet,
     bounds_check,
     canonical_family,
@@ -262,6 +263,14 @@ def test_per_ray_brute_force_small(g2, fan2, g3, fan3, g31, fan31, g4, fan4):
     for g, fan in ((g2, fan2), (g3, fan3), (g31, fan31), (g4, fan4)):
         for ray in fan.rays:
             assert rows_of(fan, g, ray.label) == brute_force_rows(ray, g)
+
+
+
+def test_per_ray_rejects_ray_off_the_lattice(g2):
+    # (1/3, 0) is not in L for 1/2(1,1): the step bound along x_1 from
+    # chi_0 to chi_1 is 1/3, so the candidate grids are not congruent
+    with pytest.raises(ValueError, match="not congruent"):
+        enumerate_per_ray(Ray(9, (Q(1, 3), Q(0))), g2)
 
 
 # full enumeration -------------------------------------------------------

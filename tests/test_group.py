@@ -139,3 +139,17 @@ def test_group_constructor_rejects_bad_shapes():
         GroupData((2, 2), ((1, 0),))
     with pytest.raises(ValueError):
         GroupData((2,), ((),))
+
+
+@pytest.mark.parametrize("orders, weights", [
+    ((3.7,), ((1.9, True, 1),)),
+    ((3,), ((1, True, 1),)),
+    ((True,), ((0, 0),)),
+    ((3,), ((Fraction(1), 1, 1),)),
+    (("3",), ((1, 1, 1),)),
+    ((2, 2), ((1, 0), (0, 1.0))),
+])
+def test_group_constructor_rejects_non_integers(orders, weights):
+    # int() would read 3.7 as 3, 1.9 and True as 1 and build 1/3(1,1,1)
+    with pytest.raises(ValueError, match="must be integers"):
+        GroupData(orders, weights)
