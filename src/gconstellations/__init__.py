@@ -34,6 +34,7 @@ from .gdivisor import (
     GluingViolationError,
     GWeilDivisor,
     cartier_to_weil,
+    chart_monomial,
     divisor_from_json,
     divisor_to_json,
     frac_val,

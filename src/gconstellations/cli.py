@@ -11,7 +11,8 @@ A problem file is JSON with a group and a fan:
     }
 
 General abelian groups use {"abelian": {"orders": [...], "weight_matrix":
-[[...], ...]}}. Rationals are exact strings, ray indices are 1-based.
+[[...], ...]}}. Rationals are exact strings or integers, never floats; ray
+indices are 1-based.
 
 Exit codes: 0 success, 1 invalid input (JSON diagnostics on stdout),
 2 mathematical check failure.
@@ -23,7 +24,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import NoReturn, Optional, Sequence
 
 from .family import (
@@ -48,6 +48,7 @@ from .gdivisor import (
     GWeilDivisor,
     monomial_string,
     parse_character,
+    parse_rational,
     ray_coefficients,
     weil_to_cartier,
 )
@@ -160,7 +161,7 @@ def load_problem(path: str):
         raise InputError("problem file needs a 'fan' object")
     try:
         rays = [
-            [Fraction(str(x)) for x in _json_list(vec, "ray")]
+            [parse_rational(x, "ray entry") for x in _json_list(vec, "ray")]
             for vec in _json_list(fan_spec.get("rays", []), "rays")
         ]
         if any(len(vec) != group.dim for vec in rays):

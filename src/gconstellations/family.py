@@ -23,16 +23,15 @@ from typing import Iterator, Mapping, Optional
 
 from .exact import frac
 from .gdivisor import (
-    CongruenceViolationError,
     GWeilDivisor,
-    congruence_violations,
+    chart_monomial,
     divisor_from_json,
     divisor_to_json,
     linear_equivalence_witness,
     monomial_string,
 )
 from .group import Character, GroupData
-from .toric import Cone, Fan, Ray, chart_exponent, pairing
+from .toric import Cone, Fan, Ray
 
 
 @dataclass(frozen=True)
@@ -372,26 +371,11 @@ class ReductorPiece:
 
 def reductor_piece(family: ReductorSet, cone: Cone, fan: Fan,
                    group: GroupData) -> ReductorPiece:
-    """Chart generators p_chi = sum of coefficient * dual basis over the cone."""
-    chars = []
-    exponents = []
-    for divisor in family.divisors:
-        exponent = chart_exponent(cone, fan.lattice, [
-            divisor.coefficient(ray.label) for ray in cone.rays
-        ])
-        if exponent is None:
-            raise CongruenceViolationError(
-                f"{divisor.character.name}: chart exponent is non-integral "
-                f"on cone {cone.labels}"
-            )
-        if group.weight(exponent) != divisor.character:
-            raise CongruenceViolationError(
-                f"chart exponent {exponent} has wrong weight for "
-                f"{divisor.character.name}"
-            )
-        chars.append(divisor.character)
-        exponents.append(exponent)
-    return ReductorPiece(cone, tuple(chars), tuple(exponents))
+    """Chart generators p_chi: the chart monomial of each D_chi on the cone."""
+    k = fan.cones.index(cone) + 1
+    return ReductorPiece(cone, family.characters, tuple(
+        chart_monomial(divisor, k, fan, group) for divisor in family.divisors
+    ))
 
 
 @dataclass(frozen=True)
@@ -433,23 +417,26 @@ class QuiverRep:
 
 def quiver(family: ReductorSet, cone: Cone, fan: Fan,
            group: GroupData) -> QuiverRep:
-    """Arrows chi -> chi * weight(x_j) labeled p_chi + u_j - p_target."""
+    """Arrows chi -> chi * weight(x_j) labeled p_chi + u_j - p_target; a ray
+    e of the cone pairs with it to q_chi(e) + e_j - q_target(e)."""
     piece = reductor_piece(family, cone, fan, group)
     chars = group.characters()
-    exponents = dict(zip(piece.characters, piece.exponents))
+    charts = {
+        d.character: (m, [d.coefficient(ray.label) for ray in cone.rays])
+        for d, m in zip(family.divisors, piece.exponents)
+    }
     arrows = []
-    for char, exponent in zip(piece.characters, piece.exponents):
+    for char, (exponent, q) in charts.items():
         for j, step in enumerate(group.steps[group.index[char]]):
             target = chars[step]
-            target_exp = exponents[target]
+            target_exp, target_q = charts[target]
             label = tuple(
                 e + int(i == j) - t
                 for i, (e, t) in enumerate(zip(exponent, target_exp))
             )
-            coords = tuple(pairing(ray, label) for ray in cone.rays)
-            arrows.append(
-                QuiverArrow(char, target, j + 1, label, coords)
-            )
+            coords = tuple(qs + ray.vector[j] - qt
+                           for qs, ray, qt in zip(q, cone.rays, target_q))
+            arrows.append(QuiverArrow(char, target, j + 1, label, coords))
     return QuiverRep(cone, piece.characters, tuple(arrows))
 
 

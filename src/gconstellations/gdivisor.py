@@ -70,10 +70,12 @@ class GWeilDivisor:
     def __post_init__(self) -> None:
         cleaned = []
         for label, c in self.entries:
+            if type(label) is not int:
+                raise ValueError(f"ray labels must be integers: {label!r}")
             if type(c) is not Fraction:
                 c = Fraction(c)
             if c:
-                cleaned.append((int(label), c))
+                cleaned.append((label, c))
         cleaned.sort()
         labels = [label for label, _ in cleaned]
         if len(set(labels)) != len(labels):
@@ -131,11 +133,10 @@ class GCartierDivisor:
     exponents: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "exponents",
-            tuple(tuple(int(x) for x in m) for m in self.exponents),
-        )
+        exponents = tuple(tuple(m) for m in self.exponents)
+        if any(type(x) is not int for m in exponents for x in m):
+            raise ValueError(f"exponents must be integers: {exponents}")
+        object.__setattr__(self, "exponents", exponents)
 
 
 def frac_val(ray: Ray, char: Character, group: GroupData) -> Fraction:
@@ -174,46 +175,56 @@ def congruence_violations(divisor: GWeilDivisor, fan: Fan,
     return bad
 
 
+def chart_monomial(divisor: GWeilDivisor, k: int, fan: Fan,
+                   group: GroupData) -> tuple[int, ...]:
+    """The Laurent exponent that cuts out the divisor on the k-th cone
+    (1-based): the coefficient-weighted sum of the cone's dual basis.
+
+    It is integral and of the divisor's weight exactly when the congruence
+    invariant holds on the cone's rays; otherwise CongruenceViolationError.
+    """
+    cone = fan.cones[k - 1]
+    exponent = chart_exponent(cone, fan.lattice, [
+        divisor.coefficient(ray.label) for ray in cone.rays
+    ])
+    if exponent is None:
+        bad = congruence_violations(divisor, fan, group)
+        raise CongruenceViolationError(
+            f"coefficients violate the congruence invariant on rays "
+            f"{bad or cone.labels}; cone {k} exponent is non-integral"
+        )
+    weight = group.weight(exponent)
+    if weight != divisor.character:
+        raise CongruenceViolationError(
+            f"cone {k} exponent {exponent} has weight {weight.name}, "
+            f"expected {divisor.character.name}"
+        )
+    return exponent
+
+
 def weil_to_cartier(divisor: GWeilDivisor, fan: Fan,
                     group: GroupData) -> GCartierDivisor:
-    """Solve for the per-cone Laurent exponent realizing the coefficients.
+    """The chart monomial of the divisor on every cone, in cone order."""
+    return GCartierDivisor(divisor.character, tuple(
+        chart_monomial(divisor, k, fan, group)
+        for k in range(1, len(fan.cones) + 1)
+    ))
 
-    On a basic cone the exponent is the coefficient-weighted sum of the dual
-    basis; it is integral exactly when the congruence invariant holds on the
-    cone's rays.
-    """
-    exponents = []
-    for k, cone in enumerate(fan.cones, start=1):
-        exponent = chart_exponent(cone, fan.lattice, [
-            divisor.coefficient(ray.label) for ray in cone.rays
-        ])
-        if exponent is None:
-            bad = congruence_violations(divisor, fan, group)
-            raise CongruenceViolationError(
-                f"coefficients violate the congruence invariant on rays "
-                f"{bad or cone.labels}; cone {k} exponent is non-integral"
-            )
-        if group.weight(exponent) != divisor.character:
-            raise CongruenceViolationError(
-                f"cone {k} exponent {exponent} has weight "
-                f"{group.weight(exponent).name}, expected "
-                f"{divisor.character.name}"
-            )
-        exponents.append(exponent)
-    return GCartierDivisor(divisor.character, tuple(exponents))
+
+def _ray_valuations(cartier: GCartierDivisor,
+                    fan: Fan) -> dict[int, set[Fraction]]:
+    """Each ray's valuations of the exponents of the cones containing it."""
+    values: dict[int, set[Fraction]] = {ray.label: set() for ray in fan.rays}
+    for cone, m in zip(fan.cones, cartier.exponents):
+        for ray in cone.rays:
+            values[ray.label].add(pairing(ray, m))
+    return values
 
 
 def gluing_violations(cartier: GCartierDivisor, fan: Fan) -> list[int]:
     """Ray labels whose valuation differs between two cones containing them."""
-    bad = []
-    for ray in fan.rays:
-        values = {
-            pairing(ray, cartier.exponents[k - 1])
-            for k, _ in fan.cones_with_ray(ray.label)
-        }
-        if len(values) > 1:
-            bad.append(ray.label)
-    return bad
+    return [label for label, seen in _ray_valuations(cartier, fan).items()
+            if len(seen) > 1]
 
 
 def cartier_to_weil(cartier: GCartierDivisor, fan: Fan,
@@ -227,18 +238,15 @@ def cartier_to_weil(cartier: GCartierDivisor, fan: Fan,
                 f"cone {k} exponent {m} does not have weight "
                 f"{cartier.character.name}"
             )
-    bad = gluing_violations(cartier, fan)
+    values = _ray_valuations(cartier, fan)
+    bad = [label for label, seen in values.items() if len(seen) > 1]
     if bad:
         raise GluingViolationError(
             f"exponents disagree along shared rays {bad}"
         )
-    coeffs = {}
-    for ray in fan.rays:
-        containing = fan.cones_with_ray(ray.label)
-        if containing:
-            k, _ = containing[0]
-            coeffs[ray.label] = pairing(ray, cartier.exponents[k - 1])
-    return GWeilDivisor.from_map(cartier.character, coeffs)
+    return GWeilDivisor.from_map(cartier.character, {
+        label: seen.pop() for label, seen in values.items() if seen
+    })
 
 
 def linear_equivalence_witness(
@@ -247,21 +255,16 @@ def linear_equivalence_witness(
     """A monomial exponent m with div(x^m) = b - a on all fan rays, or None.
 
     The fan's rays span the ambient space, so the witness is unique if it
-    exists: it is pinned down by the first cone's dual basis and then checked
-    against every ray and the required weight.
+    exists: it is the chart monomial of b - a on the first cone, checked
+    against every ray.
     """
-    target_char = b.character * a.character.inverse()
-    diff = {
-        ray.label: b.coefficient(ray.label) - a.coefficient(ray.label)
-        for ray in fan.rays
-    }
-    cone = fan.cones[0]
-    candidate = chart_exponent(cone, fan.lattice,
-                               [diff[ray.label] for ray in cone.rays])
-    if candidate is None or group.weight(candidate) != target_char:
+    diff = b - a
+    try:
+        candidate = chart_monomial(diff, 1, fan, group)
+    except CongruenceViolationError:
         return None
     for ray in fan.rays:
-        if pairing(ray, candidate) != diff[ray.label]:
+        if pairing(ray, candidate) != diff.coefficient(ray.label):
             return None
     return candidate
 
@@ -295,6 +298,15 @@ def parse_character(raw, group: GroupData) -> Character:
     raise ValueError(f"cannot parse character from {raw!r}")
 
 
+def parse_rational(raw, what: str) -> Fraction:
+    """An exact rational from a JSON string such as "5/8" or a JSON integer;
+    a JSON float such as 0.1 has no exact value and is rejected."""
+    if isinstance(raw, str) or type(raw) is int:
+        return Fraction(raw)
+    raise ValueError(f"{what} must be an exact rational: a JSON string or a "
+                     f"JSON integer, not {raw!r}")
+
+
 def divisor_from_json(obj: Mapping, fan: Fan,
                       group: GroupData) -> GWeilDivisor:
     if not isinstance(obj, Mapping) or "char" not in obj:
@@ -314,5 +326,5 @@ def ray_coefficients(raw: Mapping, fan: Fan) -> dict[int, Fraction]:
     for key, value in raw.items():
         if key not in labels:
             raise ValueError(f"unknown ray label {key!r}")
-        coeffs[labels[key]] = Fraction(str(value))
+        coeffs[labels[key]] = parse_rational(value, f"coefficient of {key}")
     return coeffs

@@ -165,10 +165,12 @@ class GroupData:
 
         With a ray's coordinates as costs this is the cheapest valuation of
         a weight-chi monomial along the ray. Results are kept per cost
-        vector on this instance.
+        vector on this instance; a negative cost raises ValueError.
         """
         if costs in self._paths:
             return self._paths[costs]
+        if any(cost < 0 for cost in costs):
+            raise ValueError(f"step costs must be >= 0, not {costs}")
         dist: list[Optional[Fraction]] = [None] * self.order
         dist[0] = Fraction(0)
         heap = [(dist[0], 0)]

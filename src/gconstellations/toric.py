@@ -177,14 +177,6 @@ class Fan:
                 return r
         raise KeyError(f"no ray labeled {label}")
 
-    def cones_with_ray(self, label: int) -> list[tuple[int, Cone]]:
-        """(1-based cone index, cone) pairs containing the labeled ray."""
-        return [
-            (k + 1, cone)
-            for k, cone in enumerate(self.cones)
-            if label in cone.labels
-        ]
-
 
 def make_fan(
     lattice: LatticeL,
@@ -198,8 +190,10 @@ def make_fan(
     by_label = {r.label: r for r in rays}
     cones = []
     for indices in cone_indices:
+        if any(type(i) is not int for i in indices):
+            raise ValueError(f"cone {list(indices)} needs integer ray indices")
         try:
-            cones.append(Cone(tuple(by_label[int(i)] for i in indices)))
+            cones.append(Cone(tuple(by_label[i] for i in indices)))
         except KeyError as exc:
             raise ValueError(f"cone {list(indices)} references unknown ray "
                              f"{exc.args[0]}") from None

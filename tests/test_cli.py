@@ -349,6 +349,26 @@ def test_cartier_unknown_ray(capsys, tmp_path):
         "invalid coefficients: unknown ray label 'E9'")
 
 
+@pytest.mark.parametrize("value", [0.125, 1.0, True])
+def test_non_rational_coefficient_rejected(capsys, running_problem, tmp_path,
+                                           value):
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps({"E4": value, "E5": "1/4", "E7": "5/8"}))
+    code, out, _ = run(capsys, "cartier", "--input", RUNNING,
+                       "--char", "1", "--coeffs", str(coeffs))
+    assert code == 1
+    assert "exact rational" in json.loads(out)["detail"]
+    group, fan, _ = running_problem
+    obj = reductor_set_to_json(canonical_family(fan, group))
+    assert obj["divisors"][1]["coeffs"]["E4"] == "1/8"
+    obj["divisors"][1]["coeffs"]["E4"] = value
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "check", "--input", RUNNING, "--set", str(path))
+    assert code == 1
+    assert "exact rational" in json.loads(out)["detail"]
+
+
 # shift / reflect / equiv -------------------------------------------------
 
 def test_shift_golden(capsys, running_problem, tmp_path):
@@ -516,6 +536,8 @@ def test_string_for_list_rejected(capsys, tmp_path, source, path, value):
     ("ab22_axes.json", ("group", "abelian", "orders"), [2.5, 2]),
     ("ab22_axes.json", ("group", "abelian", "weight_matrix"),
      [[True, 0], [0, 1]]),
+    # a JSON float is not an exact rational, even where its value is one
+    ("c8_125.json", ("fan", "rays", 3), [0.125, 0.25, 0.625]),
 ])
 def test_non_integer_json_rejected(capsys, tmp_path, source, path, value):
     # int() would read 1.9 as 1 and true as 1 and accept the problem

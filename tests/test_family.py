@@ -3,6 +3,7 @@ shifts, bounds, chart pieces, quivers, equivalence."""
 
 import itertools
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -28,8 +29,12 @@ from gconstellations import (
     reductor_set_from_json,
     reductor_set_to_json,
     reflect,
+    weil_to_cartier,
 )
+from gconstellations.cli import load_problem
 from oracles import monomials_of_weight
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def rows_of(fan, group, label):
@@ -488,6 +493,26 @@ def test_quiver_to_dot(g8, fan8):
     assert dot.count("->") == 24
     assert '"chi_0" -> "chi_1" [label="x: 1 (0,0,0)"];' in dot
     assert quiver_to_dot(rep) == dot
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS.glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_chart_layer_matches_pairings(problem):
+    # the quiver reads its cone coordinates from the set's coefficients and
+    # the pieces from chart_monomial; both must agree with the pairings of
+    # the arrow labels and with the per-divisor Cartier data
+    group, fan, _ = load_problem(str(problem))
+    families = [canonical_family(fan, group), maximal_shift_family(fan, group)]
+    families += itertools.islice(enumerate_normalized(fan, group).sets(), 32)
+    for fam in families:
+        cartier = [weil_to_cartier(d, fan, group).exponents
+                   for d in fam.divisors]
+        for k, cone in enumerate(fan.cones):
+            piece = reductor_piece(fam, cone, fan, group)
+            assert list(piece.exponents) == [m[k] for m in cartier]
+            for arrow in quiver(fam, cone, fan, group).arrows:
+                assert arrow.cone_coordinates == tuple(
+                    pairing(ray, arrow.exponent) for ray in cone.rays)
 
 
 # equivalence -------------------------------------------------------------

@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from gconstellations import GroupData, build_lattice
+from gconstellations import (
+    GCartierDivisor,
+    GroupData,
+    GWeilDivisor,
+    build_lattice,
+    make_fan,
+)
 from oracles import monomials_of_weight, representative_monomial
 
 
@@ -153,3 +159,22 @@ def test_group_constructor_rejects_non_integers(orders, weights):
     # int() would read 3.7 as 3, 1.9 and True as 1 and build 1/3(1,1,1)
     with pytest.raises(ValueError, match="must be integers"):
         GroupData(orders, weights)
+
+
+@pytest.mark.parametrize("bad", [4.7, 1.9, 3.2, True, Fraction(4)])
+def test_fan_and_divisor_constructors_reject_non_integers(g8, fan8, bad):
+    # int() would read a cone index 4.7 as 4, an exponent 1.9 as 1 and a
+    # ray label 3.2 as 3
+    rays = [ray.vector for ray in fan8.rays]
+    with pytest.raises(ValueError, match="integer"):
+        make_fan(fan8.lattice, rays, [(1, 2, bad)])
+    with pytest.raises(ValueError, match="integers"):
+        GCartierDivisor(g8.trivial_character, ((bad, 0, 0),))
+    with pytest.raises(ValueError, match="integers"):
+        GWeilDivisor(g8.trivial_character, ((bad, Fraction(1, 8)),))
+
+
+def test_shortest_paths_rejects_negative_costs():
+    # a negative cost cycle has no shortest path; Dijkstra would never stop
+    with pytest.raises(ValueError, match=">= 0"):
+        GroupData.cyclic(3, (1, 2)).shortest_paths((Fraction(-1), Fraction(2)))
