@@ -1,10 +1,14 @@
 """Exact rational arithmetic and small dense linear algebra.
 
-Everything in this package runs on `fractions.Fraction`; no floating point
-appears anywhere. Matrices are plain sequences of row sequences, kept small
-(n x n for the ambient dimension n). One Gauss-Jordan elimination,
-`det_inverse`, gives both the determinant and the inverse; callers keep its
-result instead of eliminating the same matrix again.
+Every value at an interface of this package is a `fractions.Fraction` or
+an int, and no floating point appears anywhere. Inside, the hot loops run
+on ints: shortest paths and the reductor-set operations scale their values
+by a common denominator and turn results back into Fractions.
+
+Matrices are plain sequences of row sequences, kept small (n x n for the
+ambient dimension n). One Gauss-Jordan elimination, `det_inverse`, gives
+both the determinant and the inverse; callers keep its result instead of
+eliminating the same matrix again.
 """
 
 from __future__ import annotations

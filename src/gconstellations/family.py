@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Iterator, Mapping, Optional
 
 from .exact import frac
@@ -96,9 +96,21 @@ class ReductorReport:
         }
 
 
+def _scaled(q, scale: int):
+    """q * scale: an int when q lies in (1/scale)Z, else the exact Fraction,
+    so comparisons and congruences of scaled values come out as for q."""
+    if scale % q.denominator:
+        return q * scale
+    return q.numerator * (scale // q.denominator)
+
+
 def check_reductor(family: ReductorSet, fan: Fan,
                    group: GroupData) -> ReductorReport:
-    """Verify structure, congruences and the multiplication inequalities."""
+    """Verify structure, congruences and the multiplication inequalities.
+
+    At each ray everything is scaled by the common denominator D of the
+    ray's coordinates, so the maximal shifts and the step costs are ints.
+    """
     chars = family.characters
     if list(chars) != group.characters():
         return ReductorReport(
@@ -109,17 +121,19 @@ def check_reductor(family: ReductorSet, fan: Fan,
     incongruent: list[list[int]] = [[] for _ in chars]  # labels per char
     condition = []
     coeff_maps = [d.as_map() for d in family.divisors]
-    zero = Fraction(0)
     for ray in fan.rays:
         label = ray.label
-        costs = ray.vector
-        shifts = group.shortest_paths(costs)
-        q = [cm.get(label, zero) for cm in coeff_maps]
+        scale, shifts = group.scaled_paths(ray.vector)
+        costs = [_scaled(cost, scale) for cost in ray.vector]
+        q = [_scaled(cm[label], scale) if label in cm else 0
+             for cm in coeff_maps]
         for i, row in enumerate(group.steps):
-            if (q[i] - shifts[i]).denominator != 1:
+            qi = q[i]
+            # q - shift is an integer iff their scaled difference is 0 mod D
+            if (qi - shifts[i]) % scale:
                 incongruent[i].append(label)
             for j, target in enumerate(row):
-                if q[i] + costs[j] - q[target] < 0:
+                if qi + costs[j] < q[target]:
                     condition.append((chars[i], j + 1, label))
     labels = {ray.label for ray in fan.rays}
     for bad, cm in zip(incongruent, coeff_maps):
@@ -249,14 +263,19 @@ class NormalizedEnumeration:
 
     def sets(self, limit: Optional[int] = None) -> Iterator[ReductorSet]:
         chars = self.group.characters()
-        labels = [t.ray_label for t in self.tables]
+        # table positions in increasing ray label, the order of entries
+        order = sorted(range(len(self.tables)),
+                       key=lambda k: self.tables[k].ray_label)
+        labels = [self.tables[k].ray_label for k in order]
         combos = itertools.product(*(t.rows for t in self.tables))
         if limit is not None:
             combos = itertools.islice(combos, max(limit, 0))
         for combo in combos:
+            rows = [combo[k] for k in order]
             yield ReductorSet(tuple(
-                GWeilDivisor.from_map(
-                    char, {label: row[c] for label, row in zip(labels, combo)})
+                GWeilDivisor._trusted(char, tuple(
+                    (label, row[c]) for label, row in zip(labels, rows)
+                    if row[c]))
                 for c, char in enumerate(chars)
             ))
 
@@ -279,27 +298,72 @@ def normalize(family: ReductorSet) -> ReductorSet:
     return ReductorSet(tuple(d - base for d in family.divisors))
 
 
+def _scaled_rows(family: ReductorSet):
+    """(D, labels, rows, exact): D is the common denominator of the set's
+    coefficients, labels every ray label they sit at, in increasing order,
+    rows[k][l] is D times the k-th divisor's coefficient at labels[l], and
+    exact maps each scaled coefficient to its Fraction."""
+    entries = [d.entries for d in family.divisors]
+    scale = lcm(*(c.denominator for e in entries for _, c in e))
+    labels = sorted({label for e in entries for label, _ in e})
+    position = {label: l for l, label in enumerate(labels)}
+    rows = []
+    exact: dict[int, Fraction] = {}
+    for e in entries:
+        row = [0] * len(labels)
+        for label, c in e:
+            row[position[label]] = n = c.numerator * (scale // c.denominator)
+            exact[n] = c
+        rows.append(row)
+    return scale, labels, rows, exact
+
+
+def _unscaled(scale: int, labels: list[int], rows: list[list[int]],
+              exact: dict[int, Fraction],
+              characters: tuple[Character, ...]) -> ReductorSet:
+    """The set with the given characters and coefficients rows / D. A value
+    already in exact is reused; each new one becomes a Fraction once."""
+    divisors = []
+    for char, row in zip(characters, rows):
+        entries = []
+        for label, n in zip(labels, row):
+            if n:
+                if n not in exact:
+                    exact[n] = Fraction(n, scale)
+                entries.append((label, exact[n]))
+        divisors.append(GWeilDivisor._trusted(char, tuple(entries)))
+    return ReductorSet.from_divisors(divisors)
+
+
 def lambda_shift(family: ReductorSet, lam: Character) -> ReductorSet:
-    """Tensor the family by the lambda eigenspace: D'_{chi*lam} = D_chi - D_{lam^-1}."""
+    """Tensor the family by the lambda eigenspace: D'_{chi*lam} = D_chi - D_{lam^-1}.
+
+    The result at chi is D_{chi*lam^-1} - D_{lam^-1}, of character chi,
+    subtracted on the coefficients scaled by their common denominator.
+    """
     if not family.is_normalized:
         raise ValueError("lambda_shift expects a normalized set")
-    by_char = {d.character: d for d in family.divisors}
+    chars = family.characters
+    scale, labels, rows, exact = _scaled_rows(family)
+    by_char = dict(zip(chars, rows))
     lam_inv_char = lam.inverse()
-    lam_inv = family.divisor(lam_inv_char)
-    divisors = [
-        by_char[char * lam_inv_char] - lam_inv
-        for char in family.characters
-    ]
-    return ReductorSet.from_divisors(divisors)
+    family.divisor(lam_inv_char)  # KeyError when lam^-1 has no divisor
+    lam_inv = rows[chars.index(lam_inv_char)]
+    return _unscaled(scale, labels, [
+        [a - b for a, b in zip(by_char[char * lam_inv_char], lam_inv)]
+        for char in chars
+    ], exact, chars)
 
 
 def reflect(family: ReductorSet) -> ReductorSet:
-    """The dual family D'_chi = -D_{chi^-1}; an involution."""
-    by_char = {d.character: d for d in family.divisors}
-    divisors = [
-        -by_char[char.inverse()] for char in family.characters
-    ]
-    return ReductorSet.from_divisors(divisors)
+    """The dual family D'_chi = -D_{chi^-1}; an involution, negated on the
+    coefficients scaled by their common denominator."""
+    chars = family.characters
+    scale, labels, rows, exact = _scaled_rows(family)
+    by_char = dict(zip(chars, rows))
+    return _unscaled(scale, labels, [
+        [-n for n in by_char[char.inverse()]] for char in chars
+    ], exact, chars)
 
 
 @dataclass(frozen=True)
@@ -327,20 +391,23 @@ class BoundsReport:
 
 def bounds_check(family: ReductorSet, fan: Fan,
                  group: GroupData) -> BoundsReport:
-    """Check M_chi >= D_chi >= -M_{chi^-1} coefficientwise (normalized sets)."""
+    """Check M_chi >= D_chi >= -M_{chi^-1} coefficientwise (normalized sets),
+    on the values scaled by each ray's common denominator."""
     if not family.is_normalized:
         return BoundsReport(False, ())
     violations = []
+    coeff_maps = [d.as_map() for d in family.divisors]
     for ray in fan.rays:
-        shifts = group.shortest_paths(ray.vector)
-        for divisor in family.divisors:
-            q = divisor.coefficient(ray.label)
+        label = ray.label
+        scale, shifts = group.scaled_paths(ray.vector)
+        for divisor, cm in zip(family.divisors, coeff_maps):
+            q = _scaled(cm[label], scale) if label in cm else 0
             char = divisor.character
             i = group.index[char]
             if q > shifts[i]:
-                violations.append((char, ray.label, "upper"))
+                violations.append((char, label, "upper"))
             if q < -shifts[group.inverses[i]]:
-                violations.append((char, ray.label, "lower"))
+                violations.append((char, label, "lower"))
     return BoundsReport(True, tuple(violations))
 
 

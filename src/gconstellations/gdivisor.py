@@ -18,6 +18,8 @@ from .exact import frac
 from .group import Character, GroupData
 from .toric import Fan, Ray, chart_exponent, pairing
 
+_ZERO = Fraction(0)
+
 
 class CongruenceViolationError(ValueError):
     """Divisor coefficients incompatible with their character's valuations."""
@@ -73,6 +75,11 @@ class GWeilDivisor:
             if type(label) is not int:
                 raise ValueError(f"ray labels must be integers: {label!r}")
             if type(c) is not Fraction:
+                # Fraction() would take a float at its binary value and
+                # True as 1
+                if type(c) is not int and not isinstance(c, Fraction):
+                    raise ValueError(
+                        f"coefficients must be int or Fraction, not {c!r}")
                 c = Fraction(c)
             if c:
                 cleaned.append((label, c))
@@ -83,6 +90,16 @@ class GWeilDivisor:
         object.__setattr__(self, "entries", tuple(cleaned))
 
     @classmethod
+    def _trusted(cls, character: Character,
+                 entries: tuple[tuple[int, Fraction], ...]) -> "GWeilDivisor":
+        """A divisor from entries already in normal form: int labels in
+        increasing order, nonzero Fraction coefficients."""
+        divisor = object.__new__(cls)
+        object.__setattr__(divisor, "character", character)
+        object.__setattr__(divisor, "entries", entries)
+        return divisor
+
+    @classmethod
     def from_map(cls, character: Character,
                  coeffs: Mapping[int, Fraction]) -> "GWeilDivisor":
         return cls(character, tuple(coeffs.items()))
@@ -91,7 +108,7 @@ class GWeilDivisor:
         for lab, c in self.entries:
             if lab == label:
                 return c
-        return Fraction(0)
+        return _ZERO
 
     def as_map(self) -> dict[int, Fraction]:
         return dict(self.entries)

@@ -8,7 +8,8 @@ monomials.
 
 Each group builds its Cayley graph once: characters are indexed in residue
 order, and a step along x_j moves from chi to chi * weight(x_j). Shortest
-paths on that graph give the cheapest weight-chi monomials along a ray.
+paths on that graph give the cheapest weight-chi monomials along a ray; they
+run on the costs scaled to integers by their common denominator.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import lcm, prod
 from typing import Optional, Sequence
 
 
@@ -30,23 +31,46 @@ class Character:
     orders: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.residues) != len(self.orders):
+        orders = tuple(self.orders)
+        if len(self.residues) != len(orders):
             raise ValueError("residues and orders must have equal length")
-        if any(d < 1 for d in self.orders):
+        if any(d < 1 for d in orders):
             raise ValueError("cyclic orders must be >= 1")
-        reduced = tuple(r % d for r, d in zip(self.residues, self.orders))
-        object.__setattr__(self, "residues", reduced)
+        self._fill(tuple(r % d for r, d in zip(self.residues, orders)),
+                   orders)
+
+    def _fill(self, residues: tuple[int, ...],
+              orders: tuple[int, ...]) -> None:
+        object.__setattr__(self, "residues", residues)
+        object.__setattr__(self, "orders", orders)
+        # characters key dicts throughout; hash them once
+        object.__setattr__(self, "_hash", hash((residues, orders)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @classmethod
+    def _reduced(cls, residues: tuple[int, ...],
+                 orders: tuple[int, ...]) -> "Character":
+        """A character from residues already reduced mod valid orders."""
+        char = object.__new__(cls)
+        char._fill(residues, orders)
+        return char
 
     def __mul__(self, other: "Character") -> "Character":
         if self.orders != other.orders:
             raise ValueError("characters of different groups")
-        return Character(
-            tuple(a + b for a, b in zip(self.residues, other.residues)),
+        return Character._reduced(
+            tuple((a + b) % d for a, b, d
+                  in zip(self.residues, other.residues, self.orders)),
             self.orders,
         )
 
     def inverse(self) -> "Character":
-        return Character(tuple(-r for r in self.residues), self.orders)
+        return Character._reduced(
+            tuple(-r % d for r, d in zip(self.residues, self.orders)),
+            self.orders,
+        )
 
     @property
     def is_trivial(self) -> bool:
@@ -92,7 +116,7 @@ class GroupData:
         )
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "weights", weights)
-        # shortest_paths results, keyed by cost vector
+        # (D, scaled distances, exact distances), keyed by cost vector
         object.__setattr__(self, "_paths", {})
 
     @classmethod
@@ -158,28 +182,44 @@ class GroupData:
                   for row, d in zip(self.weights, self.orders))
         )
 
+    def scaled_paths(self, costs: tuple[Fraction, ...]
+                     ) -> tuple[int, tuple[int, ...]]:
+        """(D, dist): D is the common denominator of the costs and dist[i]
+        is D times the cheapest path from the trivial character to the
+        i-th character, when a step along x_{j+1} costs costs[j] >= 0.
+
+        Dijkstra runs on the integer costs D * costs[j]. With a ray's
+        coordinates as costs, dist / D are the maximal shifts along the
+        ray. Results are kept per cost vector on this instance; a negative
+        cost raises ValueError.
+        """
+        if costs not in self._paths:
+            self._paths[costs] = self._dijkstra(costs)
+        return self._paths[costs][:2]
+
     def shortest_paths(self, costs: tuple[Fraction, ...]
                        ) -> tuple[Fraction, ...]:
-        """Cheapest path from the trivial character to each character, by
-        index, when a step along x_{j+1} costs costs[j] >= 0 (Dijkstra).
+        """The cheapest paths of scaled_paths as exact Fractions, by index."""
+        if costs not in self._paths:
+            self._paths[costs] = self._dijkstra(costs)
+        return self._paths[costs][2]
 
-        With a ray's coordinates as costs this is the cheapest valuation of
-        a weight-chi monomial along the ray. Results are kept per cost
-        vector on this instance; a negative cost raises ValueError.
-        """
-        if costs in self._paths:
-            return self._paths[costs]
+    def _dijkstra(self, costs: tuple[Fraction, ...]
+                  ) -> tuple[int, tuple[int, ...], tuple[Fraction, ...]]:
         if any(cost < 0 for cost in costs):
             raise ValueError(f"step costs must be >= 0, not {costs}")
-        dist: list[Optional[Fraction]] = [None] * self.order
-        dist[0] = Fraction(0)
-        heap = [(dist[0], 0)]
+        scale = lcm(*(cost.denominator for cost in costs))
+        steps_cost = [cost.numerator * (scale // cost.denominator)
+                      for cost in costs]
+        dist: list[Optional[int]] = [None] * self.order
+        dist[0] = 0
+        heap = [(0, 0)]
         steps = self.steps
         while heap:
             d, i = heapq.heappop(heap)
             if d > dist[i]:
                 continue
-            for cost, target in zip(costs, steps[i]):
+            for cost, target in zip(steps_cost, steps[i]):
                 nd = d + cost
                 if dist[target] is None or nd < dist[target]:
                     dist[target] = nd
@@ -187,5 +227,5 @@ class GroupData:
         if None in dist:
             raise ValueError("weight map is not surjective; the weight matrix "
                              "does not define a faithful diagonal action")
-        self._paths[costs] = result = tuple(dist)
-        return result
+        exact = {n: Fraction(n, scale) for n in set(dist)}
+        return scale, tuple(dist), tuple(exact[n] for n in dist)

@@ -6,16 +6,37 @@ the maximal-shift values; `representative_monomial` finds one monomial of
 each weight by breadth-first search, the oracle for frac_val;
 `enumerate_per_ray_dfs` is the recursive per-ray search, the oracle for
 `enumerate_per_ray`.
+
+The rest are the Fraction versions of the operations that now run on
+scaled integers: `shortest_paths_fraction` (Dijkstra on Fraction costs),
+`check_reductor_fraction`, `bounds_check_fraction`, `lambda_shift_fraction`,
+`reflect_fraction` and `sets_fraction`, the oracles for
+`GroupData.shortest_paths`, `check_reductor`, `bounds_check`,
+`lambda_shift`, `reflect` and `NormalizedEnumeration.sets`. They build
+divisors through the validating constructors and use only Fraction
+arithmetic.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
-from gconstellations import Character, GroupData, PerRayTable, Ray
+from gconstellations import (
+    BoundsReport,
+    Character,
+    Fan,
+    GroupData,
+    GWeilDivisor,
+    NormalizedEnumeration,
+    PerRayTable,
+    Ray,
+    ReductorReport,
+    ReductorSet,
+)
 from gconstellations.exact import dot
 
 
@@ -101,3 +122,106 @@ def enumerate_per_ray_dfs(ray: Ray, group: GroupData) -> PerRayTable:
 
     extend(0)
     return PerRayTable(ray.label, tuple(chars), tuple(rows))
+
+
+def shortest_paths_fraction(group: GroupData, costs: Sequence[Fraction]
+                            ) -> tuple[Fraction, ...]:
+    """Dijkstra from the trivial character on Fraction costs, by index."""
+    if any(cost < 0 for cost in costs):
+        raise ValueError(f"step costs must be >= 0, not {costs}")
+    dist: list[Optional[Fraction]] = [None] * group.order
+    dist[0] = Fraction(0)
+    heap = [(dist[0], 0)]
+    while heap:
+        d, i = heapq.heappop(heap)
+        if d > dist[i]:
+            continue
+        for cost, target in zip(costs, group.steps[i]):
+            nd = d + cost
+            if dist[target] is None or nd < dist[target]:
+                dist[target] = nd
+                heapq.heappush(heap, (nd, target))
+    if None in dist:
+        raise ValueError("weight map is not surjective")
+    return tuple(dist)
+
+
+def check_reductor_fraction(family: ReductorSet, fan: Fan,
+                            group: GroupData) -> ReductorReport:
+    chars = family.characters
+    if list(chars) != group.characters():
+        return ReductorReport(
+            ("need exactly one divisor per character, sorted by residues",),
+            (), (),
+        )
+    incongruent: list[list[int]] = [[] for _ in chars]
+    condition = []
+    coeff_maps = [d.as_map() for d in family.divisors]
+    for ray in fan.rays:
+        label = ray.label
+        costs = ray.vector
+        shifts = shortest_paths_fraction(group, costs)
+        q = [cm.get(label, Fraction(0)) for cm in coeff_maps]
+        for i, row in enumerate(group.steps):
+            if (q[i] - shifts[i]).denominator != 1:
+                incongruent[i].append(label)
+            for j, target in enumerate(row):
+                if q[i] + costs[j] - q[target] < 0:
+                    condition.append((chars[i], j + 1, label))
+    labels = {ray.label for ray in fan.rays}
+    for bad, cm in zip(incongruent, coeff_maps):
+        bad.extend(sorted(set(cm) - labels))
+    congruence = tuple(
+        (char, label) for char, bad in zip(chars, incongruent) for label in bad
+    )
+    return ReductorReport((), congruence, tuple(condition))
+
+
+def bounds_check_fraction(family: ReductorSet, fan: Fan,
+                          group: GroupData) -> BoundsReport:
+    if not family.is_normalized:
+        return BoundsReport(False, ())
+    violations = []
+    for ray in fan.rays:
+        shifts = shortest_paths_fraction(group, ray.vector)
+        for divisor in family.divisors:
+            q = divisor.coefficient(ray.label)
+            char = divisor.character
+            i = group.index[char]
+            if q > shifts[i]:
+                violations.append((char, ray.label, "upper"))
+            if q < -shifts[group.inverses[i]]:
+                violations.append((char, ray.label, "lower"))
+    return BoundsReport(True, tuple(violations))
+
+
+def lambda_shift_fraction(family: ReductorSet,
+                          lam: Character) -> ReductorSet:
+    if not family.is_normalized:
+        raise ValueError("lambda_shift expects a normalized set")
+    by_char = {d.character: d for d in family.divisors}
+    lam_inv_char = lam.inverse()
+    lam_inv = family.divisor(lam_inv_char)
+    return ReductorSet.from_divisors([
+        by_char[char * lam_inv_char] - lam_inv for char in family.characters
+    ])
+
+
+def reflect_fraction(family: ReductorSet) -> ReductorSet:
+    by_char = {d.character: d for d in family.divisors}
+    return ReductorSet.from_divisors([
+        -by_char[char.inverse()] for char in family.characters
+    ])
+
+
+def sets_fraction(enumeration: NormalizedEnumeration,
+                  limit: Optional[int] = None) -> Iterator[ReductorSet]:
+    chars = enumeration.group.characters()
+    labels = [t.ray_label for t in enumeration.tables]
+    combos = itertools.product(*(t.rows for t in enumeration.tables))
+    for combo in itertools.islice(combos, limit):
+        yield ReductorSet(tuple(
+            GWeilDivisor.from_map(
+                char, {label: row[c] for label, row in zip(labels, combo)})
+            for c, char in enumerate(chars)
+        ))

@@ -1,0 +1,49 @@
+"""Hypothesis strategies shared by the property tests: random faithful
+diagonal actions of small abelian groups, with a junior ray and a
+character."""
+
+from math import gcd
+
+from hypothesis import HealthCheck, assume, settings
+from hypothesis import strategies as st
+
+from gconstellations import GroupData, Ray, build_lattice, junior_simplex
+
+PROPERTIES = settings(max_examples=100, deadline=None, derandomize=True,
+                      suppress_health_check=[HealthCheck.filter_too_much])
+
+
+def _weights(draw, order, n):
+    return tuple(draw(st.lists(st.integers(0, order - 1),
+                               min_size=n, max_size=n)))
+
+
+@st.composite
+def faithful_groups(draw):
+    """Cyclic groups of order <= 12 on C^2 or C^3, and Z/a x Z/b."""
+    n = draw(st.sampled_from((2, 3)))
+    if draw(st.booleans()):
+        order = draw(st.integers(1, 12))
+        weights = _weights(draw, order, n)
+        assume(gcd(order, *weights) == 1)
+        return GroupData.cyclic(order, weights)
+    orders = (draw(st.integers(2, 4)), draw(st.integers(2, 4)))
+    group = GroupData(orders, tuple(_weights(draw, d, n) for d in orders))
+    try:
+        build_lattice(group)
+    except ValueError:
+        assume(False)
+    return group
+
+
+@st.composite
+def group_and_ray(draw):
+    group = draw(faithful_groups())
+    points = junior_simplex(build_lattice(group))
+    return group, Ray(1, draw(st.sampled_from(points)))
+
+
+@st.composite
+def group_ray_character(draw):
+    group, ray = draw(group_and_ray())
+    return group, ray, draw(st.sampled_from(group.characters()))

@@ -52,6 +52,22 @@ def test_weil_divisor_normal_form(g8):
     assert GWeilDivisor.from_map(chi(g8, 0), {}).is_zero
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.5, True, False, "1/8", None])
+def test_weil_divisor_rejects_inexact_coefficients(g8, bad):
+    # Fraction(0.1) would store 3602879701896397/36028797018963968 and
+    # Fraction(True) would store 1
+    with pytest.raises(ValueError, match="int or Fraction"):
+        GWeilDivisor(chi(g8, 1), ((4, bad),))
+    with pytest.raises(ValueError, match="int or Fraction"):
+        GWeilDivisor.from_map(chi(g8, 1), {4: Q(1, 8), 5: bad})
+
+
+def test_weil_divisor_takes_ints_as_fractions(g8):
+    d = GWeilDivisor(chi(g8, 1), ((4, 2), (5, Q(1, 8)), (6, 0)))
+    assert d.entries == ((4, Q(2)), (5, Q(1, 8)))
+    assert all(type(c) is Q for _, c in d.entries)
+
+
 def test_weil_divisor_arithmetic(g8):
     a = GWeilDivisor.from_map(chi(g8, 1), {4: Q(1, 8), 5: Q(1, 4)})
     b = GWeilDivisor.from_map(chi(g8, 2), {4: Q(3, 8), 6: Q(1, 2)})

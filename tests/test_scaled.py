@@ -1,0 +1,227 @@
+"""The set operations that run on scaled integers, checked against their
+Fraction oracles on random faithful groups: shortest paths,
+check_reductor, bounds_check, lambda_shift, reflect and the streamed sets,
+on valid sets and on sets perturbed off the grid, onto an unknown ray,
+past a bound or out of normal form."""
+
+from fractions import Fraction
+from math import lcm, prod
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from gconstellations import (
+    Fan,
+    GWeilDivisor,
+    NormalizedEnumeration,
+    Ray,
+    ReductorSet,
+    bounds_check,
+    build_lattice,
+    canonical_family,
+    check_reductor,
+    enumerate_per_ray,
+    junior_simplex,
+    lambda_shift,
+    reflect,
+)
+from oracles import (
+    bounds_check_fraction,
+    check_reductor_fraction,
+    lambda_shift_fraction,
+    reflect_fraction,
+    sets_fraction,
+    shortest_paths_fraction,
+)
+from strategies import PROPERTIES, faithful_groups
+
+PERTURBATIONS = ("none", "off_grid", "unknown_ray", "upper", "lower",
+                 "trivial", "missing")
+
+
+def _off_grid_denominator(n: int) -> int:
+    """The least prime not dividing n: 1/p lies outside (1/n)Z."""
+    p = 2
+    while n % p == 0 or any(p % k == 0 for k in range(2, p)):
+        p += 1
+    return p
+
+
+@st.composite
+def group_and_fan(draw):
+    """A faithful group and one to three distinct junior rays with shuffled
+    labels. The fan has no cones: the set operations read only its rays."""
+    group = draw(faithful_groups())
+    lattice = build_lattice(group)
+    vectors = draw(st.lists(st.sampled_from(junior_simplex(lattice)),
+                            min_size=1, max_size=3, unique=True))
+    labels = draw(st.permutations(range(1, len(vectors) + 1)))
+    rays = tuple(Ray(label, v) for label, v in zip(labels, vectors))
+    for ray in rays:
+        # keep each per-ray table small
+        shifts = group.shortest_paths(ray.vector)
+        assume(sum(shifts[i] + shifts[j]
+                   for i, j in enumerate(group.inverses)) <= 40)
+    return group, Fan(lattice, rays, ())
+
+
+@st.composite
+def perturbed_sets(draw, kind):
+    """(group, fan, set): a normalized set drawn row by row from the
+    per-ray tables, then changed at one coefficient as kind says."""
+    group, fan = draw(group_and_fan())
+    chars = group.characters()
+    tables = [enumerate_per_ray(ray, group) for ray in fan.rays]
+    rows = [draw(st.sampled_from(t.rows)) for t in tables]
+    coeffs = [{t.ray_label: row[c] for t, row in zip(tables, rows)}
+              for c in range(len(chars))]
+    c = draw(st.integers(min(1, len(chars) - 1), len(chars) - 1))
+    ray = draw(st.sampled_from(fan.rays))
+    shifts = group.shortest_paths(ray.vector)
+    n = lcm(*group.orders)
+    p = _off_grid_denominator(n)
+    if kind == "off_grid":
+        # 1/n is off the grid of a ray whose denominator is smaller than n
+        coeffs[c][ray.label] += draw(st.sampled_from(
+            (Fraction(1, p), Fraction(1, n), Fraction(-1, p))))
+    elif kind == "unknown_ray":
+        coeffs[c][max(r.label for r in fan.rays) + 1] = draw(st.sampled_from(
+            (Fraction(1, n), Fraction(1), Fraction(1, p))))
+    elif kind == "upper":
+        coeffs[c][ray.label] = shifts[c] + draw(st.integers(1, 3))
+    elif kind == "lower":
+        coeffs[c][ray.label] = (-shifts[group.inverses[c]]
+                                - draw(st.integers(1, 3)))
+    elif kind == "trivial":
+        coeffs[0][ray.label] = Fraction(draw(st.sampled_from((-1, 1))))
+    divisors = [GWeilDivisor.from_map(char, cm)
+                for char, cm in zip(chars, coeffs)]
+    if kind == "missing" and len(divisors) > 1:
+        del divisors[c]
+    return group, fan, ReductorSet(tuple(divisors))
+
+
+def _outcome(operation, *args):
+    try:
+        return operation(*args)
+    except (KeyError, ValueError) as exc:
+        return type(exc)
+
+
+def _exact(family) -> bool:
+    return all(type(q) is Fraction
+               for d in family.divisors for _, q in d.entries)
+
+
+# each kind of perturbation gets its own 30 examples
+SHORT = settings(PROPERTIES, max_examples=30)
+
+
+@pytest.mark.parametrize("kind", PERTURBATIONS)
+@SHORT
+@given(data=st.data())
+def test_checks_match_fraction_oracles(kind, data):
+    group, fan, family = data.draw(perturbed_sets(kind))
+    report = check_reductor(family, fan, group)
+    bounds = bounds_check(family, fan, group)
+    # identical reports: the same tuples in the same order
+    assert report == check_reductor_fraction(family, fan, group)
+    assert bounds == bounds_check_fraction(family, fan, group)
+    if kind == "none":
+        assert report.passed and bounds.passed
+
+
+@pytest.mark.parametrize("kind", PERTURBATIONS)
+@SHORT
+@given(data=st.data())
+def test_reflect_and_shift_match_fraction_oracles(kind, data):
+    group, fan, family = data.draw(perturbed_sets(kind))
+    reflected = _outcome(reflect, family)
+    assert reflected == _outcome(reflect_fraction, family)
+    if isinstance(reflected, ReductorSet):
+        assert _exact(reflected)
+        assert reflect(reflected) == family
+    for lam in group.characters():
+        shifted = _outcome(lambda_shift, family, lam)
+        assert shifted == _outcome(lambda_shift_fraction, family, lam)
+        if isinstance(shifted, ReductorSet):
+            assert _exact(shifted)
+
+
+@PROPERTIES
+@given(group_and_fan())
+def test_streamed_sets_match_fraction_oracle(case):
+    group, fan = case
+    tables = tuple(enumerate_per_ray(ray, group) for ray in fan.rays)
+    enumeration = NormalizedEnumeration(
+        fan, group, tables, prod(len(t.rows) for t in tables))
+    streamed = list(enumeration.sets(limit=40))
+    assert streamed == list(sets_fraction(enumeration, 40))
+    for family in streamed:
+        # entries in normal form: sorted labels, no zeros, exact values
+        for d in family.divisors:
+            assert d == GWeilDivisor(d.character, d.entries)
+        assert _exact(family)
+
+
+COSTS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=0, max_value=3, max_denominator=12),
+)
+
+
+@PROPERTIES
+@given(faithful_groups(), st.data())
+def test_shortest_paths_match_fraction_dijkstra(group, data):
+    costs = tuple(data.draw(st.lists(COSTS, min_size=group.dim,
+                                     max_size=group.dim)))
+    paths = group.shortest_paths(costs)
+    assert paths == shortest_paths_fraction(group, costs)
+    assert all(type(d) is Fraction for d in paths)
+    scale, scaled = group.scaled_paths(costs)
+    assert scale == lcm(*(c.denominator for c in costs))
+    assert scaled == tuple(d * scale for d in paths)
+
+
+@SHORT
+@given(faithful_groups(), st.data())
+def test_shortest_paths_reject_a_negative_cost(group, data):
+    costs = list(data.draw(st.lists(COSTS, min_size=group.dim,
+                                    max_size=group.dim)))
+    costs[data.draw(st.integers(0, group.dim - 1))] = -data.draw(
+        st.fractions(min_value=0, max_value=3, max_denominator=12).filter(
+            bool))
+    for paths in (group.shortest_paths, group.scaled_paths):
+        with pytest.raises(ValueError, match=">= 0"):
+            paths(tuple(costs))
+
+
+@PROPERTIES
+@given(faithful_groups(), st.data())
+def test_character_product_and_inverse_match_group_character(group, data):
+    chars = group.characters()
+    a = data.draw(st.sampled_from(chars))
+    b = data.draw(st.sampled_from(chars))
+    product = group.character(
+        tuple(x + y for x, y in zip(a.residues, b.residues)))
+    inverse = group.character(tuple(-x for x in a.residues))
+    assert a * b == product and hash(a * b) == hash(product)
+    assert a.inverse() == inverse and hash(a.inverse()) == hash(inverse)
+    assert {a * b: 1}[product] == 1
+
+
+def test_off_grid_coefficient_is_reported_exactly(g8, fan8):
+    # 1/3 lies outside (1/8)Z: scaled by 8 it stays an exact Fraction
+    canonical = canonical_family(fan8, g8)
+    divisors = list(canonical.divisors)
+    chi_1 = divisors[1]
+    divisors[1] = GWeilDivisor.from_map(
+        chi_1.character, {**chi_1.as_map(), 4: chi_1.coefficient(4)
+                          + Fraction(1, 3)})
+    family = ReductorSet(tuple(divisors))
+    report = check_reductor(family, fan8, g8)
+    assert report == check_reductor_fraction(family, fan8, g8)
+    assert report.congruence_violations == ((chi_1.character, 4),)
+    assert bounds_check(family, fan8, g8) == bounds_check_fraction(
+        family, fan8, g8)
