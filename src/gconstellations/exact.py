@@ -2,7 +2,8 @@
 
 Every value at an interface of this package is a `fractions.Fraction` or
 an int, and no floating point appears anywhere. Inside, the hot loops run
-on ints: shortest paths and the reductor-set operations scale their values
+on ints: shortest paths, the reductor-set operations and the chart layer
+(chart exponents, ray pairings and quiver coordinates) scale their values
 by a common denominator and turn results back into Fractions.
 
 Matrices are plain sequences of row sequences, kept small (n x n for the

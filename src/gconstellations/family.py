@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 from typing import Iterator, Mapping, Optional
 
 from .exact import frac
@@ -484,26 +485,33 @@ class QuiverRep:
 
 def quiver(family: ReductorSet, cone: Cone, fan: Fan,
            group: GroupData) -> QuiverRep:
-    """Arrows chi -> chi * weight(x_j) labeled p_chi + u_j - p_target; a ray
-    e of the cone pairs with it to q_chi(e) + e_j - q_target(e)."""
+    """Arrows chi -> chi * weight(x_j) labeled p_chi + u_j - p_target.
+
+    A ray e of the cone pairs with the label to q_chi(e) + e_j - q_target(e),
+    since chart_monomial makes e(p_chi) = q_chi(e); the pairing is summed on
+    the ray's scaled ints and each distinct value becomes a Fraction once.
+    """
     piece = reductor_piece(family, cone, fan, group)
     chars = group.characters()
-    charts = {
-        d.character: (m, [d.coefficient(ray.label) for ray in cone.rays])
-        for d, m in zip(family.divisors, piece.exponents)
-    }
+    charts = dict(zip(piece.characters, piece.exponents))
+    rays = [ray.scaled for ray in cone.rays]
+    exact: dict[tuple[int, int], Fraction] = {}
     arrows = []
-    for char, (exponent, q) in charts.items():
+    for char, exponent in charts.items():
         for j, step in enumerate(group.steps[group.index[char]]):
             target = chars[step]
-            target_exp, target_q = charts[target]
             label = tuple(
                 e + int(i == j) - t
-                for i, (e, t) in enumerate(zip(exponent, target_exp))
+                for i, (e, t) in enumerate(zip(exponent, charts[target]))
             )
-            coords = tuple(qs + ray.vector[j] - qt
-                           for qs, ray, qt in zip(q, cone.rays, target_q))
-            arrows.append(QuiverArrow(char, target, j + 1, label, coords))
+            coords = []
+            for scale, ints in rays:
+                key = (sum(map(mul, ints, label)), scale)
+                if key not in exact:
+                    exact[key] = Fraction(*key)
+                coords.append(exact[key])
+            arrows.append(
+                QuiverArrow(char, target, j + 1, label, tuple(coords)))
     return QuiverRep(cone, piece.characters, tuple(arrows))
 
 

@@ -177,9 +177,10 @@ class GroupData:
         """Character of the Laurent monomial with exponent m."""
         if len(m) != self.dim:
             raise ValueError(f"exponent must have length {self.dim}")
-        return self.character(
+        return Character._reduced(
             tuple(sum(w * e for w, e in zip(row, m)) % d
-                  for row, d in zip(self.weights, self.orders))
+                  for row, d in zip(self.weights, self.orders)),
+            self.orders,
         )
 
     def scaled_paths(self, costs: tuple[Fraction, ...]

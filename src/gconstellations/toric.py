@@ -6,7 +6,9 @@ cones inside the positive orthant of L; the valuation of a monomial x^m along
 the divisor of a ray e is the plain dot product e(m).
 
 Rays are stored in standard coordinates (denominators dividing |G|), so every
-pairing is a direct dot product.
+pairing is a direct dot product. The chart layer runs on integers: each ray
+keeps its vector scaled by its common denominator, and each basic cone keeps
+its integer dual basis.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Optional, Sequence
 
 from . import exact
@@ -122,6 +125,14 @@ class Ray:
     def name(self) -> str:
         return f"E{self.label}"
 
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        """(D, ints): D is the common denominator of the vector and ints is
+        D times the vector."""
+        scale = lcm(*(x.denominator for x in self.vector))
+        return scale, tuple(x.numerator * (scale // x.denominator)
+                            for x in self.vector)
+
 
 @dataclass(frozen=True)
 class Cone:
@@ -142,6 +153,18 @@ class Cone:
         """Determinant and inverse of the ray matrix, eliminated on first
         use and kept on the cone."""
         return exact.det_inverse(self.matrix)
+
+    @cached_property
+    def dual_basis(self) -> tuple[tuple[int, ...], ...]:
+        """The columns of the inverse ray matrix as integer vectors, built
+        on first use and kept on the cone; NotBasicError if not integral."""
+        _, inverse = self.det_inverse
+        if inverse is None or any(c.denominator != 1
+                                  for row in inverse for c in row):
+            raise NotBasicError(
+                f"cone {self.labels}: dual basis is not integral")
+        return tuple(tuple(int(c) for c in column)
+                     for column in zip(*inverse))
 
 
 @dataclass(frozen=True)
@@ -202,27 +225,31 @@ def make_fan(
 
 def pairing(e, m: Sequence) -> Fraction:
     """Valuation of the monomial x^m along the divisor of ray e: the dot
-    product e(m)."""
-    vector = e.vector if isinstance(e, Ray) else e
-    return dot(vector, m)
+    product e(m), summed on the ray's scaled ints when m is integral."""
+    if isinstance(e, Ray):
+        scale, ints = e.scaled
+        if len(m) == len(ints) and all(type(x) is int for x in m):
+            return Fraction(sum(map(mul, ints, m)), scale)
+        e = e.vector
+    return dot(e, m)
 
 
 def dual_basis(cone: Cone, lattice: LatticeL) -> tuple[tuple[int, ...], ...]:
     """Integer vectors v_1..v_n with e_i(v_j) = delta_ij for the cone's rays.
 
     Exists exactly when the rays form a lattice basis (basic cone); then each
-    v_j is an invariant-monomial exponent and the chart is smooth.
+    v_j is an invariant-monomial exponent and the chart is smooth. The cone
+    is checked to be basic in the lattice on every call; the vectors are
+    the cone's own, built once.
     """
-    d, inverse = cone.det_inverse
-    if abs(d) != lattice.covolume:
+    d = cone.det_inverse[0]
+    # |d| == 1/index, compared on the reduced numerator and denominator
+    if d.denominator != lattice.index or abs(d.numerator) != 1:
         raise NotBasicError(
             f"cone {cone.labels} is not basic: |det| = {abs(d)}, "
             f"expected {lattice.covolume}"
         )
-    columns = tuple(zip(*inverse))
-    if any(c.denominator != 1 for column in columns for c in column):
-        raise NotBasicError(f"cone {cone.labels}: dual basis is not integral")
-    return tuple(tuple(int(c) for c in column) for column in columns)
+    return cone.dual_basis
 
 
 def chart_exponent(cone: Cone, lattice: LatticeL,
@@ -231,15 +258,19 @@ def chart_exponent(cone: Cone, lattice: LatticeL,
     """The exponent m with e(m) = c on each ray e of the basic cone, for the
     coefficients c listed in the cone's ray order; None if m is not integral.
 
-    m is the coefficient-weighted sum of the cone's dual basis.
+    m is the coefficient-weighted sum of the cone's dual basis, summed on
+    the coefficients scaled by their common denominator D.
     """
-    m = [Fraction(0)] * lattice.dim
-    for c, dual in zip(coefficients, dual_basis(cone, lattice)):
+    duals = dual_basis(cone, lattice)
+    scale = lcm(*(c.denominator for c in coefficients))
+    m = [0] * lattice.dim
+    for c, dual in zip(coefficients, duals):
         if c:
-            m = [a + c * d for a, d in zip(m, dual)]
-    if any(x.denominator != 1 for x in m):
+            n = c.numerator * (scale // c.denominator)
+            m = [a + n * d for a, d in zip(m, dual)]
+    if any(x % scale for x in m):
         return None
-    return tuple(int(x) for x in m)
+    return tuple(x // scale for x in m)
 
 
 def junior_simplex(lattice: LatticeL) -> tuple[Vector, ...]:

@@ -14,7 +14,11 @@ scaled integers: `shortest_paths_fraction` (Dijkstra on Fraction costs),
 `GroupData.shortest_paths`, `check_reductor`, `bounds_check`,
 `lambda_shift`, `reflect` and `NormalizedEnumeration.sets`. They build
 divisors through the validating constructors and use only Fraction
-arithmetic.
+arithmetic. The chart layer has three more: `pairing_fraction` (the
+`exact.dot` of a ray's Fraction vector), `chart_exponent_fraction` (the
+Fraction sum of the columns of the inverse ray matrix) and
+`quiver_fraction` (cone coordinates q_s + e_j - q_t read from the set's
+coefficients), the oracles for `pairing`, `chart_exponent` and `quiver`.
 """
 
 from __future__ import annotations
@@ -28,16 +32,20 @@ from typing import Iterator, Optional, Sequence
 from gconstellations import (
     BoundsReport,
     Character,
+    Cone,
     Fan,
     GroupData,
     GWeilDivisor,
+    LatticeL,
     NormalizedEnumeration,
     PerRayTable,
+    QuiverRep,
     Ray,
     ReductorReport,
     ReductorSet,
 )
-from gconstellations.exact import dot
+from gconstellations.exact import det_inverse, dot
+from gconstellations.family import QuiverArrow
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]
@@ -225,3 +233,49 @@ def sets_fraction(enumeration: NormalizedEnumeration,
                 char, {label: row[c] for label, row in zip(labels, combo)})
             for c, char in enumerate(chars)
         ))
+
+
+def pairing_fraction(ray: Ray, m: Sequence) -> Fraction:
+    """e(m) as the exact dot product of the ray's Fraction vector."""
+    return dot(ray.vector, m)
+
+
+def chart_exponent_fraction(cone: Cone, lattice: LatticeL,
+                            coefficients: Sequence[Fraction]
+                            ) -> Optional[tuple[int, ...]]:
+    """The coefficient-weighted Fraction sum of the columns of the inverse
+    ray matrix; None if it is not integral. The cone must be basic."""
+    _, inverse = det_inverse(cone.matrix)
+    m = [Fraction(0)] * lattice.dim
+    for c, dual in zip(coefficients, zip(*inverse)):
+        if c:
+            m = [a + c * d for a, d in zip(m, dual)]
+    if any(x.denominator != 1 for x in m):
+        return None
+    return tuple(int(x) for x in m)
+
+
+def quiver_fraction(family: ReductorSet, cone: Cone, fan: Fan,
+                    group: GroupData) -> QuiverRep:
+    """The quiver with labels p_s + u_j - p_t from chart_exponent_fraction
+    and cone coordinates q_s(e) + e_j - q_t(e) from the coefficients."""
+    chars = group.characters()
+    exponents = {
+        d.character: chart_exponent_fraction(cone, fan.lattice, [
+            d.coefficient(ray.label) for ray in cone.rays])
+        for d in family.divisors
+    }
+    arrows = []
+    for d in family.divisors:
+        source = d.character
+        for j, step in enumerate(group.steps[group.index[source]]):
+            target = chars[step]
+            label = tuple(s + int(i == j) - t for i, (s, t) in enumerate(
+                zip(exponents[source], exponents[target])))
+            coords = tuple(
+                d.coefficient(ray.label) + ray.vector[j]
+                - family.divisor(target).coefficient(ray.label)
+                for ray in cone.rays
+            )
+            arrows.append(QuiverArrow(source, target, j + 1, label, coords))
+    return QuiverRep(cone, family.characters, tuple(arrows))

@@ -1,6 +1,6 @@
 """Hypothesis strategies shared by the property tests: random faithful
 diagonal actions of small abelian groups, with a junior ray and a
-character."""
+character; and the denominator that pushes a coefficient off the grid."""
 
 from math import gcd
 
@@ -11,6 +11,14 @@ from gconstellations import GroupData, Ray, build_lattice, junior_simplex
 
 PROPERTIES = settings(max_examples=100, deadline=None, derandomize=True,
                       suppress_health_check=[HealthCheck.filter_too_much])
+
+
+def off_grid_denominator(n: int) -> int:
+    """The least prime not dividing n: 1/p lies outside (1/n)Z."""
+    p = 2
+    while n % p == 0 or any(p % k == 0 for k in range(2, p)):
+        p += 1
+    return p
 
 
 def _weights(draw, order, n):

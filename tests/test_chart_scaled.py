@@ -1,0 +1,143 @@
+"""The chart layer on scaled integers, checked against its Fraction oracles
+on every cone of every problem file: pairings, chart exponents, reductor
+pieces, quivers and the Weil -> Cartier -> Weil round trip. The sets are
+the canonical one, the maximal-shift one and random normalized ones drawn
+a row per per-ray table; coefficients pushed off the grid by 1/p must give
+no exponent, as before."""
+
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from gconstellations import (
+    CongruenceViolationError,
+    GWeilDivisor,
+    ReductorSet,
+    canonical_family,
+    cartier_to_weil,
+    chart_exponent,
+    chart_monomial,
+    enumerate_normalized,
+    maximal_shift_family,
+    pairing,
+    quiver,
+    reductor_piece,
+    weil_to_cartier,
+)
+from gconstellations.cli import load_problem
+from oracles import chart_exponent_fraction, pairing_fraction, quiver_fraction
+from strategies import off_grid_denominator
+
+PROBLEMS = sorted(
+    (Path(__file__).resolve().parent.parent / "problems").glob("*.json"))
+
+RANDOM_SETS = 8
+
+
+@pytest.fixture(scope="module", params=PROBLEMS, ids=lambda path: path.stem)
+def case(request):
+    """(group, fan, sets): the problem with the canonical set, the
+    maximal-shift set and RANDOM_SETS random normalized sets."""
+    group, fan, _ = load_problem(str(request.param))
+    rng = random.Random(request.param.stem)
+    tables = enumerate_normalized(fan, group).tables
+    sets = [canonical_family(fan, group), maximal_shift_family(fan, group)]
+    for _ in range(RANDOM_SETS):
+        rows = [rng.choice(t.rows) for t in tables]
+        sets.append(ReductorSet(tuple(
+            GWeilDivisor.from_map(char, {
+                t.ray_label: row[c] for t, row in zip(tables, rows)})
+            for c, char in enumerate(group.characters())
+        )))
+    return group, fan, sets
+
+
+def _divisors(sets):
+    return [d for family in sets for d in family.divisors]
+
+
+def test_pairing_matches_exact_dot(case):
+    group, fan, _ = case
+    rng = random.Random(0)
+    for ray in fan.rays:
+        for _ in range(20):
+            m = tuple(rng.randint(-9, 9) for _ in range(fan.dim))
+            value = pairing(ray, m)
+            assert type(value) is Fraction
+            assert value == pairing_fraction(ray, m)
+        # a Fraction exponent takes the exact dot product
+        m = tuple(Fraction(rng.randint(-9, 9), 7) for _ in range(fan.dim))
+        assert pairing(ray, m) == pairing_fraction(ray, m)
+        with pytest.raises(ValueError, match="length mismatch"):
+            pairing(ray, (1,) * (fan.dim + 1))
+
+
+def test_chart_exponents_match_fraction_oracle(case):
+    group, fan, sets = case
+    for divisor in _divisors(sets):
+        for k, cone in enumerate(fan.cones, start=1):
+            coefficients = [divisor.coefficient(ray.label)
+                            for ray in cone.rays]
+            exponent = chart_exponent(cone, fan.lattice, coefficients)
+            assert exponent is not None
+            assert all(type(x) is int for x in exponent)
+            assert exponent == chart_exponent_fraction(cone, fan.lattice,
+                                                       coefficients)
+            assert chart_monomial(divisor, k, fan, group) == exponent
+
+
+def test_off_grid_coefficients_give_no_exponent(case):
+    group, fan, sets = case
+    off = Fraction(1, off_grid_denominator(group.order))
+    for divisor in _divisors(sets[:3]):
+        for k, cone in enumerate(fan.cones, start=1):
+            for ray in cone.rays:
+                coeffs = divisor.as_map()
+                coeffs[ray.label] = coeffs.get(ray.label, 0) + off
+                pushed = GWeilDivisor.from_map(divisor.character, coeffs)
+                coefficients = [pushed.coefficient(r.label)
+                                for r in cone.rays]
+                assert chart_exponent(cone, fan.lattice,
+                                      coefficients) is None
+                assert chart_exponent_fraction(cone, fan.lattice,
+                                               coefficients) is None
+                with pytest.raises(CongruenceViolationError,
+                                   match=f"cone {k} exponent is non-integral"):
+                    chart_monomial(pushed, k, fan, group)
+
+
+def test_pieces_and_quivers_match_fraction_oracle(case):
+    group, fan, sets = case
+    for family in sets:
+        for cone in fan.cones:
+            piece = reductor_piece(family, cone, fan, group)
+            assert piece.exponents == tuple(
+                chart_exponent_fraction(cone, fan.lattice, [
+                    d.coefficient(ray.label) for ray in cone.rays])
+                for d in family.divisors
+            )
+            rep = quiver(family, cone, fan, group)
+            assert rep == quiver_fraction(family, cone, fan, group)
+            assert all(type(c) is Fraction
+                       for arrow in rep.arrows
+                       for c in arrow.cone_coordinates)
+
+
+def test_weil_cartier_round_trip_matches_fraction_oracle(case):
+    group, fan, sets = case
+    for divisor in _divisors(sets):
+        cartier = weil_to_cartier(divisor, fan, group)
+        assert cartier.exponents == tuple(
+            chart_exponent_fraction(cone, fan.lattice, [
+                divisor.coefficient(ray.label) for ray in cone.rays])
+            for cone in fan.cones
+        )
+        weil = cartier_to_weil(cartier, fan, group)
+        assert weil == divisor
+        assert all(type(c) is Fraction for _, c in weil.entries)
+        for cone, m in zip(fan.cones, cartier.exponents):
+            for ray in cone.rays:
+                assert pairing_fraction(ray, m) == weil.coefficient(
+                    ray.label)

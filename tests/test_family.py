@@ -498,9 +498,9 @@ def test_quiver_to_dot(g8, fan8):
 @pytest.mark.parametrize("problem", sorted(PROBLEMS.glob("*.json")),
                          ids=lambda path: path.stem)
 def test_chart_layer_matches_pairings(problem):
-    # the quiver reads its cone coordinates from the set's coefficients and
-    # the pieces from chart_monomial; both must agree with the pairings of
-    # the arrow labels and with the per-divisor Cartier data
+    # the quiver's cone coordinates must agree with the pairings of the
+    # arrow labels, and the pieces from chart_monomial with the per-divisor
+    # Cartier data
     group, fan, _ = load_problem(str(problem))
     families = [canonical_family(fan, group), maximal_shift_family(fan, group)]
     families += itertools.islice(enumerate_normalized(fan, group).sets(), 32)

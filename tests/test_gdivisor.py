@@ -11,6 +11,7 @@ from gconstellations import (
     GluingViolationError,
     GWeilDivisor,
     cartier_to_weil,
+    chart_monomial,
     divisor_from_json,
     divisor_to_json,
     frac_val,
@@ -147,6 +148,15 @@ def test_weil_to_cartier_rejects_congruence_violation(g8, fan8):
     off = GWeilDivisor.from_map(chi(g8, 6), {4: Q(5, 8)})
     with pytest.raises(CongruenceViolationError):
         weil_to_cartier(off, fan8, g8)
+
+
+@pytest.mark.parametrize("k", [0, -1, 9])
+def test_chart_monomial_rejects_cone_index_out_of_range(g8, fan8, k):
+    d = GWeilDivisor.from_map(chi(g8, 6), {4: Q(7, 4), 5: Q(1, 2),
+                                           7: Q(-1, 4)})
+    with pytest.raises(ValueError,
+                       match=rf"^cone index {k} out of range 1\.\.8$"):
+        chart_monomial(d, k, fan8, g8)
 
 
 def test_cartier_round_trip(g8, fan8):

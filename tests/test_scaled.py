@@ -34,18 +34,10 @@ from oracles import (
     sets_fraction,
     shortest_paths_fraction,
 )
-from strategies import PROPERTIES, faithful_groups
+from strategies import PROPERTIES, faithful_groups, off_grid_denominator
 
 PERTURBATIONS = ("none", "off_grid", "unknown_ray", "upper", "lower",
                  "trivial", "missing")
-
-
-def _off_grid_denominator(n: int) -> int:
-    """The least prime not dividing n: 1/p lies outside (1/n)Z."""
-    p = 2
-    while n % p == 0 or any(p % k == 0 for k in range(2, p)):
-        p += 1
-    return p
 
 
 @st.composite
@@ -80,7 +72,7 @@ def perturbed_sets(draw, kind):
     ray = draw(st.sampled_from(fan.rays))
     shifts = group.shortest_paths(ray.vector)
     n = lcm(*group.orders)
-    p = _off_grid_denominator(n)
+    p = off_grid_denominator(n)
     if kind == "off_grid":
         # 1/n is off the grid of a ray whose denominator is smaller than n
         coeffs[c][ray.label] += draw(st.sampled_from(

@@ -1,6 +1,7 @@
 """Overlattice, fan, junior simplex and validation."""
 
 from fractions import Fraction as Q
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -10,12 +11,15 @@ from gconstellations import (
     NotBasicError,
     build_lattice,
     canonical_family,
+    cartier_to_weil,
     chart_exponent,
     discrepancy,
     dual_basis,
     junior_simplex,
     make_fan,
+    maximal_shift_family,
     pairing,
+    quiver,
     reductor_piece,
     validate_fan,
     weil_to_cartier,
@@ -140,8 +144,37 @@ def test_dual_basis_rejects_non_basic(g8, fan8):
     lat = build_lattice(g8)
     # e1, e2, e3 span the unresolved quotient cone of normalized volume 1
     bad = Cone(tuple(fan8.ray(i) for i in (1, 2, 3)))
-    with pytest.raises(NotBasicError):
-        dual_basis(bad, lat)
+    # |det| is the covolume, but the inverse has the entry 1/2
+    skewed = Cone((Ray(1, (Q(1, 16), Q(0), Q(0))), Ray(2, (0, 2, 0)),
+                   Ray(3, (0, 0, 1))))
+    # on every call, not only the first
+    for _ in range(3):
+        with pytest.raises(NotBasicError, match="is not basic"):
+            dual_basis(bad, lat)
+        with pytest.raises(NotBasicError, match="not integral"):
+            dual_basis(skewed, lat)
+
+
+def test_each_dual_basis_built_once(monkeypatch):
+    built = []
+    original = Cone.dual_basis.func
+
+    def counted(cone):
+        built.append(cone.labels)
+        return original(cone)
+
+    counted_property = cached_property(counted)
+    counted_property.__set_name__(Cone, "dual_basis")
+    monkeypatch.setattr(Cone, "dual_basis", counted_property)
+    group, fan, _ = load_problem(str(PROBLEMS / "c8_125.json"))
+    families = (canonical_family(fan, group), maximal_shift_family(fan, group))
+    for family in families:
+        for divisor in family.divisors:
+            cartier_to_weil(weil_to_cartier(divisor, fan, group), fan, group)
+        for cone in fan.cones:
+            reductor_piece(family, cone, fan, group)
+            quiver(family, cone, fan, group)
+    assert sorted(built) == sorted(cone.labels for cone in fan.cones)
 
 
 def test_chart_exponent(g8, fan8):
