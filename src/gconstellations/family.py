@@ -124,8 +124,8 @@ def check_reductor(family: ReductorSet, fan: Fan,
     coeff_maps = [d.as_map() for d in family.divisors]
     for ray in fan.rays:
         label = ray.label
-        scale, shifts = group.scaled_paths(ray.vector)
-        costs = [_scaled(cost, scale) for cost in ray.vector]
+        scale, costs = ray.scaled
+        shifts = group.scaled_paths(ray.vector)[1]
         q = [_scaled(cm[label], scale) if label in cm else 0
              for cm in coeff_maps]
         for i, row in enumerate(group.steps):
@@ -201,19 +201,23 @@ def enumerate_per_ray(ray: Ray, group: GroupData) -> PerRayTable:
     q_chi = low_chi + c_chi with low_chi = -M(chi^-1) and an integer position
     0 <= c_chi <= M(chi) - low_chi; the trivial character has only 0. Along
     x_j from s to t, q_s + e_j - q_t >= 0 reads c_t <= c_s + b with
-    b = low_s + e_j - low_t. One loop assigns the characters in order.
+    b = low_s + e_j - low_t. The bounds are scaled by the common denominator
+    D of the ray, and only the candidate values q_chi become Fractions. One
+    loop assigns the characters in order.
     """
     chars = group.characters()
     count = len(chars)
-    shifts = group.shortest_paths(ray.vector)
+    scale, costs = ray.scaled
+    shifts = group.scaled_paths(ray.vector)[1]
     lows = [-shifts[inverse] for inverse in group.inverses]
     spans = [high - low for high, low in zip(shifts, lows)]
     edges = [(s, t, lows[s] + cost - lows[t])
              for s, row in enumerate(group.steps)
-             for t, cost in zip(row, ray.vector)]
-    if any(q.denominator != 1 for q in spans + [b for _, _, b in edges]):
+             for t, cost in zip(row, costs)]
+    if any(n % scale for n in spans + [b for _, _, b in edges]):
         raise ValueError(f"{ray.name}: the per-ray bounds are not congruent")
-    candidates = [[low + k for k in range(span.numerator + 1)]
+    candidates = [[Fraction(low + k * scale, scale)
+                   for k in range(span // scale + 1)]
                   for low, span in zip(lows, spans)]
     # uppers[t] holds (s, b) for s < t: c_t <= c_s + b; lowers[s] holds
     # (t, b) for t < s: c_s >= c_t - b; a loop holds since costs are >= 0
@@ -221,9 +225,9 @@ def enumerate_per_ray(ray: Ray, group: GroupData) -> PerRayTable:
     lowers: list[list[tuple[int, int]]] = [[] for _ in chars]
     for s, t, b in edges:
         if s < t:
-            uppers[t].append((s, b.numerator))
+            uppers[t].append((s, b // scale))
         elif t < s:
-            lowers[s].append((t, b.numerator))
+            lowers[s].append((t, b // scale))
     rows: list[tuple[Fraction, ...]] = []
     c = [0] * count    # current position per character
     top = [0] * count  # largest admissible position given the earlier ones
@@ -524,12 +528,9 @@ def quiver_to_dot(rep: QuiverRep) -> str:
     ]
     for vertex in rep.vertices:
         lines.append(f'  "{vertex.name}";')
-    coord_names = ["x", "y", "z"] if len(rep.cone.rays) <= 3 else None
     for arrow in rep.arrows:
-        if coord_names:
-            gen = coord_names[arrow.coordinate - 1]
-        else:
-            gen = f"x{arrow.coordinate}"
+        gen = monomial_string(tuple(int(j == arrow.coordinate) for j
+                                    in range(1, len(arrow.exponent) + 1)))
         coords = ",".join(str(c) for c in arrow.cone_coordinates)
         lines.append(
             f'  "{arrow.source.name}" -> "{arrow.target.name}" '

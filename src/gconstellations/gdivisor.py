@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .exact import frac
 from .group import Character, GroupData
 from .toric import Fan, Ray, chart_exponent, pairing
 
@@ -161,9 +160,10 @@ def frac_val(ray: Ray, char: Character, group: GroupData) -> Fraction:
 
     Independent of the monomial: two weight-char exponents differ by an
     invariant one, which pairs integrally with lattice points. The cheapest
-    one, the maximal shift, is read from the group's shortest paths.
+    one, the maximal shift n / D, is read from the group's scaled paths.
     """
-    return frac(group.shortest_paths(ray.vector)[group.index[char]])
+    scale, shifts = group.scaled_paths(ray.vector)
+    return Fraction(shifts[group.index[char]] % scale, scale)
 
 
 def principal_divisor(m: Sequence[int], fan: Fan,
@@ -180,11 +180,12 @@ def congruence_violations(divisor: GWeilDivisor, fan: Fan,
     """Labels of fan rays where the coefficient is not congruent mod Z to
     the maximal shift (so not to frac_val), then labels not in the fan."""
     i = group.index[divisor.character]
-    bad = [
-        ray.label for ray in fan.rays
-        if (divisor.coefficient(ray.label)
-            - group.shortest_paths(ray.vector)[i]).denominator != 1
-    ]
+    bad = []
+    for ray in fan.rays:
+        scale, shifts = group.scaled_paths(ray.vector)
+        # c - n / D is an integer iff D * c - n is 0 mod D
+        if (divisor.coefficient(ray.label) * scale - shifts[i]) % scale:
+            bad.append(ray.label)
     unknown = {label for label, _ in divisor.entries} - {
         r.label for r in fan.rays
     }

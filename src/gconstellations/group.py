@@ -8,8 +8,9 @@ monomials.
 
 Each group builds its Cayley graph once: characters are indexed in residue
 order, and a step along x_j moves from chi to chi * weight(x_j). Shortest
-paths on that graph give the cheapest weight-chi monomials along a ray; they
-run on the costs scaled to integers by their common denominator.
+paths on that graph give the maximal shifts along a ray. They run on the
+costs scaled to integers by their common denominator D and are kept only as
+(D, ints); shortest_paths forms their Fractions at the boundary.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class GroupData:
         )
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "weights", weights)
-        # (D, scaled distances, exact distances), keyed by cost vector
+        # (D, scaled distances), keyed by cost vector
         object.__setattr__(self, "_paths", {})
 
     @classmethod
@@ -150,15 +151,14 @@ class GroupData:
 
     def characters(self) -> list[Character]:
         """All |G| characters, sorted by residue tuple (trivial one first)."""
-        return [
-            self.character(res)
-            for res in itertools.product(*(range(d) for d in self.orders))
-        ]
+        return list(self.index)
 
     @cached_property
     def index(self) -> dict[Character, int]:
         """Position of each character in characters()."""
-        return {char: i for i, char in enumerate(self.characters())}
+        residues = itertools.product(*map(range, self.orders))
+        return {Character._reduced(res, self.orders): i
+                for i, res in enumerate(residues)}
 
     @cached_property
     def steps(self) -> tuple[tuple[int, ...], ...]:
@@ -194,19 +194,8 @@ class GroupData:
         ray. Results are kept per cost vector on this instance; a negative
         cost raises ValueError.
         """
-        if costs not in self._paths:
-            self._paths[costs] = self._dijkstra(costs)
-        return self._paths[costs][:2]
-
-    def shortest_paths(self, costs: tuple[Fraction, ...]
-                       ) -> tuple[Fraction, ...]:
-        """The cheapest paths of scaled_paths as exact Fractions, by index."""
-        if costs not in self._paths:
-            self._paths[costs] = self._dijkstra(costs)
-        return self._paths[costs][2]
-
-    def _dijkstra(self, costs: tuple[Fraction, ...]
-                  ) -> tuple[int, tuple[int, ...], tuple[Fraction, ...]]:
+        if costs in self._paths:
+            return self._paths[costs]
         if any(cost < 0 for cost in costs):
             raise ValueError(f"step costs must be >= 0, not {costs}")
         scale = lcm(*(cost.denominator for cost in costs))
@@ -228,5 +217,12 @@ class GroupData:
         if None in dist:
             raise ValueError("weight map is not surjective; the weight matrix "
                              "does not define a faithful diagonal action")
+        self._paths[costs] = paths = (scale, tuple(dist))
+        return paths
+
+    def shortest_paths(self, costs: tuple[Fraction, ...]
+                       ) -> tuple[Fraction, ...]:
+        """The cheapest paths of scaled_paths as exact Fractions, by index."""
+        scale, dist = self.scaled_paths(costs)
         exact = {n: Fraction(n, scale) for n in set(dist)}
-        return scale, tuple(dist), tuple(exact[n] for n in dist)
+        return tuple(exact[n] for n in dist)

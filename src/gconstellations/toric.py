@@ -97,11 +97,10 @@ def build_lattice(group: GroupData) -> LatticeL:
     generators = [[scale * int(i == j) for j in range(n)] for i in range(n)]
     for order, row in zip(group.orders, group.weights):
         generators.append([(scale // order) * w for w in row])
-    reduced = hermite_normal_form(generators)
-    if len(reduced) != n:
-        raise ValueError("lattice generators do not span")  # unreachable
+    # the generators include scale * I, so the Hermite form has n rows
     lattice = LatticeL(tuple(
-        tuple(Fraction(x, scale) for x in row) for row in reduced
+        tuple(Fraction(x, scale) for x in row)
+        for row in hermite_normal_form(generators)
     ))
     if lattice.index != group.order:
         raise ValueError(

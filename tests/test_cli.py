@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,17 @@ def write_set(tmp_path, family, name="set.json"):
     path = tmp_path / name
     path.write_text(json.dumps(reductor_set_to_json(family)))
     return str(path)
+
+
+def broken_set(tmp_path, group, fan, name="set.json"):
+    """The canonical set with chi_1 raised by 1 at E4: congruent, but no
+    longer a reductor set."""
+    fam = canonical_family(fan, group)
+    divisors = list(fam.divisors)
+    old = divisors[1]
+    divisors[1] = GWeilDivisor.from_map(
+        old.character, {**old.as_map(), 4: old.coefficient(4) + 1})
+    return write_set(tmp_path, fam.from_divisors(divisors), name=name)
 
 
 def edit_problem(tmp_path, source, path, value):
@@ -232,12 +244,7 @@ def test_check_accepts_unnormalized_reductor(capsys, running_problem,
 
 def test_check_rejects_broken_set(capsys, running_problem, tmp_path):
     group, fan, _ = running_problem
-    fam = canonical_family(fan, group)
-    divisors = list(fam.divisors)
-    old = divisors[1]
-    divisors[1] = GWeilDivisor.from_map(
-        old.character, {**old.as_map(), 4: old.coefficient(4) + 1})
-    path = write_set(tmp_path, fam.from_divisors(divisors))
+    path = broken_set(tmp_path, group, fan)
     code, out, _ = run(capsys, "check", "--input", RUNNING, "--set", path)
     assert code == 2
     payload = json.loads(out)
@@ -646,3 +653,105 @@ def test_unknown_subcommand(capsys):
 def test_missing_required_option(capsys):
     code, out, _ = run(capsys, "info")
     assert code == 1
+
+
+# input shapes that load_problem rejects -----------------------------------
+
+@pytest.mark.parametrize("problem, detail", [
+    ([1, 2], "problem file must be a JSON object"),
+    ({"group": [8], "fan": {}}, "problem file needs a 'group' object"),
+    ({"group": {"cyclic": {"order": 2, "weights": [1, 1]}}, "fan": []},
+     "problem file needs a 'fan' object"),
+    ({"group": {"dihedral": {"order": 4}}, "fan": {}},
+     "group must be given as 'cyclic' or 'abelian'"),
+])
+def test_problem_shape_rejected(capsys, tmp_path, problem, detail):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(problem))
+    code, out, _ = run(capsys, "info", "--input", str(path))
+    assert code == 1
+    assert json.loads(out)["detail"] == detail
+
+
+@pytest.mark.parametrize("path, value, detail", [
+    (("fan", "rays", 3), ["1/8", "2/8"],
+     "invalid fan: every ray needs 3 coordinates"),
+    (("fan", "cones", 0), [1, 2],
+     "invalid fan: cone (1, 2) must have exactly 3 rays"),
+])
+def test_malformed_fan_rejected(capsys, tmp_path, path, value, detail):
+    bad = edit_problem(tmp_path, "c8_125.json", path, value)
+    code, out, _ = run(capsys, "info", "--input", bad)
+    assert code == 1
+    assert json.loads(out)["detail"] == detail
+
+
+@pytest.mark.parametrize("vector, error", [
+    (["-1/8", "2/8", "7/8"], "E4 has a negative coordinate"),
+    (["1/8", "1/8", "6/8"], "E4 is not a lattice point"),
+])
+def test_bad_ray_fails_validation(capsys, tmp_path, vector, error):
+    bad = edit_problem(tmp_path, "c8_125.json", ("fan", "rays", 3), vector)
+    code, out, _ = run(capsys, "info", "--input", bad)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["detail"] == "fan failed validation"
+    assert payload["report"]["ray_errors"] == [error]
+
+
+def test_unused_ray_warns_on_stderr(capsys, tmp_path):
+    rays = json.loads(Path(RUNNING).read_text())["fan"]["rays"]
+    extra = edit_problem(tmp_path, "c8_125.json", ("fan", "rays"),
+                         rays + [["1", "0", "0"]])
+    plain = run(capsys, "enumerate", "--count-only", "--input", RUNNING)
+    code, out, err = run(capsys, "enumerate", "--count-only",
+                         "--input", extra)
+    assert (code, out) == plain[:2] == (0, "1536\n")
+    assert err == "warning: E8 does not occur in any maximal cone\n"
+
+
+# sets that fail the reductor check ----------------------------------------
+
+@pytest.mark.parametrize("command", [
+    ["piece", "--cone", "1"],
+    ["quiver", "--cone", "1"],
+    ["shift", "--lambda", "1"],
+    ["reflect"],
+])
+def test_commands_require_a_reductor_set(capsys, running_problem, tmp_path,
+                                         command):
+    group, fan, _ = running_problem
+    path = broken_set(tmp_path, group, fan)
+    code, out, _ = run(capsys, *command, "--input", RUNNING, "--set", path)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "check failed"
+    assert payload["detail"] == "set is not a reductor set"
+    assert payload["report"]["condition_violations"]
+
+
+def test_equiv_requires_reductor_sets(capsys, running_problem, tmp_path):
+    group, fan, _ = running_problem
+    good = write_set(tmp_path, canonical_family(fan, group), name="a.json")
+    bad = broken_set(tmp_path, group, fan)
+    code, out, _ = run(capsys, "equiv", "--input", RUNNING,
+                       "--set", good, "--set", bad)
+    assert code == 2
+    assert json.loads(out)["detail"] == f"{bad} is not a reductor set"
+
+
+def test_check_reports_congruence_violations(capsys, running_problem,
+                                             tmp_path):
+    group, fan, _ = running_problem
+    fam = canonical_family(fan, group)
+    divisors = list(fam.divisors)
+    old = divisors[1]
+    divisors[1] = GWeilDivisor.from_map(
+        old.character, {**old.as_map(), 4: old.coefficient(4) + Q(1, 8)})
+    path = write_set(tmp_path, fam.from_divisors(divisors))
+    code, out, _ = run(capsys, "check", "--input", RUNNING, "--set", path)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["reductor"]["congruence_violations"] == [
+        {"char": [1], "ray": "E4"}]

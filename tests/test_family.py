@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 
 from gconstellations import (
+    GroupData,
     GWeilDivisor,
     Ray,
     ReductorSet,
     bounds_check,
+    build_lattice,
     canonical_family,
     check_reductor,
     enumerate_normalized,
@@ -19,6 +21,7 @@ from gconstellations import (
     equivalence_witness,
     lambda_shift,
     maximal_shift_family,
+    make_fan,
     maximal_shift_values,
     normalize,
     pairing,
@@ -495,6 +498,27 @@ def test_quiver_to_dot(g8, fan8):
     assert quiver_to_dot(rep) == dot
 
 
+def test_quiver_to_dot_names_four_coordinates():
+    group = GroupData.cyclic(1, (0, 0, 0, 0))
+    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    fan = make_fan(build_lattice(group), units, [(1, 2, 3, 4)])
+    rep = quiver(canonical_family(fan, group), fan.cones[0], fan, group)
+    labels = [line.split('label="')[1] for line in
+              quiver_to_dot(rep).splitlines() if "->" in line]
+    assert labels == ['x1: x1 (1,0,0,0)"];', 'x2: x2 (0,1,0,0)"];',
+                      'x3: x3 (0,0,1,0)"];', 'x4: x4 (0,0,0,1)"];']
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS.glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_ray_and_shift_table_share_the_denominator(problem):
+    # check_reductor and enumerate_per_ray scale the ray's costs and the
+    # maximal shifts by the same D, taken from the ray
+    group, fan, _ = load_problem(str(problem))
+    for ray in fan.rays:
+        assert ray.scaled[0] == group.scaled_paths(ray.vector)[0]
+
+
 @pytest.mark.parametrize("problem", sorted(PROBLEMS.glob("*.json")),
                          ids=lambda path: path.stem)
 def test_chart_layer_matches_pairings(problem):
@@ -545,6 +569,12 @@ def test_equivalence_witness_equivalent_not_isomorphic(g8, fan8):
     assert res.equivalent
     assert not res.isomorphic
     assert res.monomial is None
+
+
+def test_equivalence_witness_rejects_different_groups(g8, fan8, g3, fan3):
+    with pytest.raises(ValueError, match="different character groups"):
+        equivalence_witness(canonical_family(fan8, g8),
+                            canonical_family(fan3, g3), fan8, g8)
 
 
 def test_equivalence_self(g8, fan8):

@@ -204,6 +204,19 @@ def test_linear_equivalence_witness_absent(g8, fan8):
     assert linear_equivalence_witness(a, b, fan8, g8) is None
 
 
+def test_linear_equivalence_witness_incongruent(g8, fan8):
+    # the trivial character needs integer coefficients; 1/8 at E7 is not
+    a = GWeilDivisor.from_map(chi(g8, 0), {})
+    b = GWeilDivisor.from_map(chi(g8, 0), {7: Q(1, 8)})
+    assert congruence_violations(b, fan8, g8) == [7]
+    assert linear_equivalence_witness(a, b, fan8, g8) is None
+
+
+def test_weil_divisor_rejects_duplicate_label(g8):
+    with pytest.raises(ValueError, match="duplicate ray label in divisor"):
+        GWeilDivisor(chi(g8, 1), ((4, Q(1, 8)), (4, Q(9, 8))))
+
+
 def test_divisor_json_round_trip(g8, fan8):
     d = GWeilDivisor.from_map(chi(g8, 6), {4: Q(7, 4), 5: Q(1, 2),
                                            7: Q(-1, 4)})

@@ -178,3 +178,21 @@ def test_shortest_paths_rejects_negative_costs():
     # a negative cost cycle has no shortest path; Dijkstra would never stop
     with pytest.raises(ValueError, match=">= 0"):
         GroupData.cyclic(3, (1, 2)).shortest_paths((Fraction(-1), Fraction(2)))
+
+
+def test_scaled_paths_is_the_one_cached_form():
+    g = GroupData.cyclic(8, (1, 2, 5))
+    costs = (Fraction(1, 8), Fraction(1, 4), Fraction(5, 8))
+    first = g.scaled_paths(costs)
+    assert g.scaled_paths(costs) is first
+    scale, dist = first
+    assert g.shortest_paths(costs) == tuple(Fraction(n, scale) for n in dist)
+
+
+def test_characters_is_a_fresh_list_of_the_index():
+    g = GroupData((2, 4), ((1, 0), (0, 1)))
+    chars = g.characters()
+    assert chars == list(g.index)
+    assert chars is not g.characters()
+    chars.pop()
+    assert g.characters() == list(g.index)

@@ -27,7 +27,7 @@ from gconstellations import (
 )
 from gconstellations import exact
 from gconstellations.cli import load_problem
-from gconstellations.toric import Cone, Ray
+from gconstellations.toric import Cone, Fan, LatticeL, Ray
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -301,6 +301,23 @@ def test_make_fan_rejects_unknown_ray(g2):
     lat = build_lattice(g2)
     with pytest.raises(ValueError):
         make_fan(lat, [(Q(1), Q(0)), (Q(0), Q(1))], [(1, 5)])
+
+
+def test_lattice_rejects_bad_bases():
+    with pytest.raises(ValueError, match="singular"):
+        LatticeL(((Q(1), Q(0)), (Q(2), Q(0))))
+    with pytest.raises(ValueError,
+                       match=r"1/\|det\| = 1/2 is not an integer"):
+        LatticeL(((Q(2), Q(0)), (Q(0), Q(1))))
+
+
+def test_fan_rejects_duplicate_and_unknown_rays(g2):
+    lat = build_lattice(g2)
+    x, y = Ray(1, (Q(1), Q(0))), Ray(2, (Q(0), Q(1)))
+    with pytest.raises(ValueError, match="duplicate ray labels"):
+        Fan(lat, (x, Ray(1, (Q(0), Q(1)))), ())
+    with pytest.raises(ValueError, match="cone uses unknown ray 3"):
+        Fan(lat, (x, y), (Cone((x, Ray(3, (Q(1, 2), Q(1, 2))))),))
 
 
 def test_ray_and_cone_structs():
