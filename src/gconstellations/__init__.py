@@ -1,7 +1,7 @@
 """Exact classification of deformation families of the generic orbit on
 toric resolutions of abelian quotient singularities."""
 
-from .exact import Rational, det_inverse, frac
+from .exact import det_inverse, frac
 from .family import (
     BoundsReport,
     EquivalenceResult,
@@ -19,8 +19,6 @@ from .family import (
     equivalence_witness,
     lambda_shift,
     maximal_shift_family,
-    maximal_shift_values,
-    normalize,
     quiver,
     quiver_to_dot,
     reductor_piece,
@@ -37,10 +35,8 @@ from .gdivisor import (
     chart_monomial,
     divisor_from_json,
     divisor_to_json,
-    frac_val,
     linear_equivalence_witness,
     monomial_string,
-    principal_divisor,
     weil_to_cartier,
 )
 from .group import Character, GroupData
@@ -54,7 +50,6 @@ from .toric import (
     build_lattice,
     chart_exponent,
     discrepancy,
-    dual_basis,
     junior_simplex,
     make_fan,
     pairing,

@@ -361,11 +361,7 @@ def cmd_piece(args) -> int:
     family = _load_set(args.set, fan, group)
     _require_reductor(family, fan, group)
     cone = _pick_cone(fan, args.cone)
-    try:
-        piece = reductor_piece(family, cone, fan, group)
-    except CongruenceViolationError as exc:
-        raise MathCheckError(str(exc)) from exc
-    _emit(piece.to_json())
+    _emit(reductor_piece(family, cone, fan, group).to_json())
     return 0
 
 
@@ -374,10 +370,7 @@ def cmd_quiver(args) -> int:
     family = _load_set(args.set, fan, group)
     _require_reductor(family, fan, group)
     cone = _pick_cone(fan, args.cone)
-    try:
-        rep = quiver(family, cone, fan, group)
-    except CongruenceViolationError as exc:
-        raise MathCheckError(str(exc)) from exc
+    rep = quiver(family, cone, fan, group)
     if args.dot:
         sys.stdout.write(quiver_to_dot(rep))
     else:
@@ -393,10 +386,7 @@ def cmd_cartier(args) -> int:
         divisor = GWeilDivisor.from_map(character, ray_coefficients(obj, fan))
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"invalid coefficients: {exc}") from exc
-    try:
-        cartier = weil_to_cartier(divisor, fan, group)
-    except CongruenceViolationError as exc:
-        raise MathCheckError(str(exc)) from exc
+    cartier = weil_to_cartier(divisor, fan, group)
     _emit({
         "char": character.to_json(),
         "per_cone": [
@@ -513,7 +503,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        code = args.func(args)
+        try:
+            code = args.func(args)
+        except CongruenceViolationError as exc:
+            # a chart exponent that is not integral or not of its weight
+            raise MathCheckError(str(exc)) from exc
         sys.stdout.flush()
         return code
     except BrokenPipeError:

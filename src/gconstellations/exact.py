@@ -17,7 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-Rational = Fraction
 RationalLike = Union[int, str, Fraction]
 
 

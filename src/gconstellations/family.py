@@ -161,17 +161,8 @@ def _family_of_shifts(fan: Fan, group: GroupData, value) -> ReductorSet:
 
 def canonical_family(fan: Fan, group: GroupData) -> ReductorSet:
     """The fractional-valuation family: D_chi = sum_i v(E_i, chi) E_i, where
-    v(E_i, chi) = frac_val, the fractional part of the maximal shift."""
+    v(E_i, chi) is the fractional part of the maximal shift."""
     return _family_of_shifts(fan, group, frac)
-
-
-def maximal_shift_values(ray: Ray, group: GroupData) -> dict[Character, Fraction]:
-    """Cheapest valuation along the ray of a regular monomial per weight.
-
-    Single-source shortest paths on the character group: one step per
-    coordinate x_j, landing on char * weight(x_j) at cost e_i(u_j) >= 0.
-    """
-    return dict(zip(group.characters(), group.shortest_paths(ray.vector)))
 
 
 def maximal_shift_family(fan: Fan, group: GroupData) -> ReductorSet:
@@ -293,14 +284,6 @@ def enumerate_normalized(fan: Fan, group: GroupData) -> NormalizedEnumeration:
     tables = tuple(enumerate_per_ray(ray, group) for ray in fan.rays)
     count = prod(len(t.rows) for t in tables)
     return NormalizedEnumeration(fan, group, tables, count)
-
-
-def normalize(family: ReductorSet) -> ReductorSet:
-    """Subtract the trivial-character divisor from every member."""
-    base = next(d for d in family.divisors if d.character.is_trivial)
-    if base.is_zero:
-        return family
-    return ReductorSet(tuple(d - base for d in family.divisors))
 
 
 def _scaled_rows(family: ReductorSet):

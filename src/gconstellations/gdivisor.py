@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .group import Character, GroupData
-from .toric import Fan, Ray, chart_exponent, pairing
+from .toric import Fan, chart_exponent, pairing
 
 _ZERO = Fraction(0)
 
@@ -113,10 +113,6 @@ class GWeilDivisor:
         return dict(self.entries)
 
     @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(label for label, _ in self.entries)
-
-    @property
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -133,12 +129,7 @@ class GWeilDivisor:
         )
 
     def __sub__(self, other: "GWeilDivisor") -> "GWeilDivisor":
-        coeffs = self.as_map()
-        for label, c in other.entries:
-            coeffs[label] = coeffs.get(label, Fraction(0)) - c
-        return GWeilDivisor.from_map(
-            self.character * other.character.inverse(), coeffs
-        )
+        return self + -other
 
 
 @dataclass(frozen=True)
@@ -155,30 +146,11 @@ class GCartierDivisor:
         object.__setattr__(self, "exponents", exponents)
 
 
-def frac_val(ray: Ray, char: Character, group: GroupData) -> Fraction:
-    """Fractional valuation of weight-char monomials along the ray.
-
-    Independent of the monomial: two weight-char exponents differ by an
-    invariant one, which pairs integrally with lattice points. The cheapest
-    one, the maximal shift n / D, is read from the group's scaled paths.
-    """
-    scale, shifts = group.scaled_paths(ray.vector)
-    return Fraction(shifts[group.index[char]] % scale, scale)
-
-
-def principal_divisor(m: Sequence[int], fan: Fan,
-                      group: GroupData) -> GWeilDivisor:
-    """The divisor of the monomial x^m on the fan's rays."""
-    return GWeilDivisor.from_map(
-        group.weight(m),
-        {ray.label: pairing(ray, m) for ray in fan.rays},
-    )
-
-
 def congruence_violations(divisor: GWeilDivisor, fan: Fan,
                           group: GroupData) -> list[int]:
     """Labels of fan rays where the coefficient is not congruent mod Z to
-    the maximal shift (so not to frac_val), then labels not in the fan."""
+    the maximal shift (as every weight-chi valuation is), then labels not
+    in the fan."""
     i = group.index[divisor.character]
     bad = []
     for ray in fan.rays:
@@ -240,12 +212,6 @@ def _ray_valuations(cartier: GCartierDivisor,
         for ray in cone.rays:
             values[ray.label].add(pairing(ray, m))
     return values
-
-
-def gluing_violations(cartier: GCartierDivisor, fan: Fan) -> list[int]:
-    """Ray labels whose valuation differs between two cones containing them."""
-    return [label for label, seen in _ray_valuations(cartier, fan).items()
-            if len(seen) > 1]
 
 
 def cartier_to_weil(cartier: GCartierDivisor, fan: Fan,

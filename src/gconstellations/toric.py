@@ -222,33 +222,14 @@ def make_fan(
     return Fan(lattice, rays, tuple(cones))
 
 
-def pairing(e, m: Sequence) -> Fraction:
-    """Valuation of the monomial x^m along the divisor of ray e: the dot
-    product e(m), summed on the ray's scaled ints when m is integral."""
-    if isinstance(e, Ray):
-        scale, ints = e.scaled
-        if len(m) == len(ints) and all(type(x) is int for x in m):
-            return Fraction(sum(map(mul, ints, m)), scale)
-        e = e.vector
-    return dot(e, m)
-
-
-def dual_basis(cone: Cone, lattice: LatticeL) -> tuple[tuple[int, ...], ...]:
-    """Integer vectors v_1..v_n with e_i(v_j) = delta_ij for the cone's rays.
-
-    Exists exactly when the rays form a lattice basis (basic cone); then each
-    v_j is an invariant-monomial exponent and the chart is smooth. The cone
-    is checked to be basic in the lattice on every call; the vectors are
-    the cone's own, built once.
-    """
-    d = cone.det_inverse[0]
-    # |d| == 1/index, compared on the reduced numerator and denominator
-    if d.denominator != lattice.index or abs(d.numerator) != 1:
-        raise NotBasicError(
-            f"cone {cone.labels} is not basic: |det| = {abs(d)}, "
-            f"expected {lattice.covolume}"
-        )
-    return cone.dual_basis
+def pairing(ray: Ray, m: Sequence) -> Fraction:
+    """Valuation of the monomial x^m along the divisor of the ray: the dot
+    product e(m) of the ray's vector with the int or Fraction entries of m,
+    summed on the ray's scaled ints."""
+    scale, ints = ray.scaled
+    if len(m) != len(ints):
+        raise ValueError(f"length mismatch: {len(ints)} vs {len(m)}")
+    return Fraction(sum(map(mul, ints, m)), scale)
 
 
 def chart_exponent(cone: Cone, lattice: LatticeL,
@@ -258,9 +239,20 @@ def chart_exponent(cone: Cone, lattice: LatticeL,
     coefficients c listed in the cone's ray order; None if m is not integral.
 
     m is the coefficient-weighted sum of the cone's dual basis, summed on
-    the coefficients scaled by their common denominator D.
+    the coefficients scaled by their common denominator D. NotBasicError
+    unless the rays form a lattice basis, checked on every call.
     """
-    duals = dual_basis(cone, lattice)
+    det = cone.det_inverse[0]
+    # |det| == 1/index, compared on the reduced numerator and denominator
+    if det.denominator != lattice.index or abs(det.numerator) != 1:
+        raise NotBasicError(
+            f"cone {cone.labels} is not basic: |det| = {abs(det)}, "
+            f"expected {lattice.covolume}"
+        )
+    duals = cone.dual_basis
+    if len(coefficients) != len(duals):
+        raise ValueError(f"length mismatch: {len(coefficients)} "
+                         f"coefficients for {len(duals)} rays")
     scale = lcm(*(c.denominator for c in coefficients))
     m = [0] * lattice.dim
     for c, dual in zip(coefficients, duals):

@@ -3,7 +3,8 @@
 `mat_mul` multiplies exact matrices to check inverses; `monomials_of_weight`
 lists every monomial of a given weight in a bounded grid, the oracle for
 the maximal-shift values; `representative_monomial` finds one monomial of
-each weight by breadth-first search, the oracle for frac_val;
+each weight by breadth-first search, the oracle for the fractional
+valuations (the fractional parts of the maximal shifts);
 `enumerate_per_ray_dfs` is the recursive per-ray search, the oracle for
 `enumerate_per_ray`.
 

@@ -1,13 +1,21 @@
 """Hypothesis strategies shared by the property tests: random faithful
 diagonal actions of small abelian groups, with a junior ray and a
-character; and the denominator that pushes a coefficient off the grid."""
+character. Also two builders of test inputs: the denominator that pushes
+a coefficient off the grid, and the principal divisor of a monomial."""
 
 from math import gcd
 
 from hypothesis import HealthCheck, assume, settings
 from hypothesis import strategies as st
 
-from gconstellations import GroupData, Ray, build_lattice, junior_simplex
+from gconstellations import (
+    GroupData,
+    GWeilDivisor,
+    Ray,
+    build_lattice,
+    junior_simplex,
+    pairing,
+)
 
 PROPERTIES = settings(max_examples=100, deadline=None, derandomize=True,
                       suppress_health_check=[HealthCheck.filter_too_much])
@@ -19,6 +27,14 @@ def off_grid_denominator(n: int) -> int:
     while n % p == 0 or any(p % k == 0 for k in range(2, p)):
         p += 1
     return p
+
+
+def principal_divisor(m, fan, group) -> GWeilDivisor:
+    """The divisor of the monomial x^m on the fan's rays."""
+    return GWeilDivisor.from_map(
+        group.weight(m),
+        {ray.label: pairing(ray, m) for ray in fan.rays},
+    )
 
 
 def _weights(draw, order, n):

@@ -14,15 +14,12 @@ from gconstellations import (
     bounds_check,
     canonical_family,
     check_reductor,
-    dual_basis,
     enumerate_normalized,
     enumerate_per_ray,
     frac,
-    frac_val,
     junior_simplex,
     lambda_shift,
     maximal_shift_family,
-    maximal_shift_values,
     pairing,
     reductor_piece,
     reflect,
@@ -59,7 +56,7 @@ def test_criterion_1_running_example_geometry(g8, fan8):
 
 def test_criterion_2_dual_basis_golden(fan8):
     cone = _cone(fan8, (4, 5, 6))
-    duals = {tuple(v) for v in dual_basis(cone, fan8.lattice)}
+    duals = {tuple(v) for v in cone.dual_basis}
     assert duals == {(-2, 0, 2), (1, 2, -1), (2, -1, 0)}
     _passed(2)
 
@@ -101,16 +98,15 @@ def test_criterion_4_maximal_shift_golden(g8, fan8):
         for d in fam.divisors
     }
     assert actual == expected
-    minima = [maximal_shift_values(fan8.ray(5), g8)[c]
-              for c in g8.characters()]
-    assert minima == [Q(v, 8) for v in (0, 2, 4, 6, 8, 2, 4, 6)]
+    minima = g8.shortest_paths(fan8.ray(5).vector)
+    assert minima == tuple(Q(v, 8) for v in (0, 2, 4, 6, 8, 2, 4, 6))
     # shortest-path values against the direct minimum over a monomial box
     for ray in fan8.rays:
-        shifts = maximal_shift_values(ray, g8)
+        shifts = g8.shortest_paths(ray.vector)
         for char in g8.characters():
             oracle = min(pairing(ray, m)
                          for m in monomials_of_weight(g8, char, 8))
-            assert shifts[char] == oracle
+            assert shifts[g8.index[char]] == oracle
     _passed(4)
 
 
@@ -256,6 +252,6 @@ def test_criterion_9_property_suite(g8, fan8, g2, fan2, g3, fan3,
     for _ in range(500):
         ray = rng.choice(fan8.rays)
         exponent = tuple(rng.randrange(-12, 13) for _ in range(3))
-        char = g8.weight(exponent)
-        assert frac_val(ray, char, g8) == frac(pairing(ray, exponent))
+        shift = g8.shortest_paths(ray.vector)[g8.index[g8.weight(exponent)]]
+        assert frac(shift) == frac(pairing(ray, exponent))
     _passed(9)

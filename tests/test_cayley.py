@@ -7,8 +7,6 @@ from hypothesis import assume, given
 from gconstellations import (
     enumerate_per_ray,
     frac,
-    frac_val,
-    maximal_shift_values,
     pairing,
 )
 from oracles import (
@@ -44,7 +42,7 @@ def test_maximal_shift_is_cheapest_monomial(case):
     # than |G| steps and every exponent is below |G|
     cheapest = min(pairing(ray, m) for m in
                    monomials_of_weight(group, char, group.order - 1))
-    assert maximal_shift_values(ray, group)[char] == cheapest
+    assert group.shortest_paths(ray.vector)[group.index[char]] == cheapest
 
 
 @PROPERTIES
@@ -52,7 +50,8 @@ def test_maximal_shift_is_cheapest_monomial(case):
 def test_frac_val_matches_representative_monomial(case):
     group, ray, char = case
     m = representative_monomial(group, char)
-    assert frac_val(ray, char, group) == frac(pairing(ray, m))
+    shift = group.shortest_paths(ray.vector)[group.index[char]]
+    assert frac(shift) == frac(pairing(ray, m))
 
 
 @PROPERTIES

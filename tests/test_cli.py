@@ -15,10 +15,10 @@ from gconstellations import (
     canonical_family,
     lambda_shift,
     maximal_shift_family,
-    principal_divisor,
     reductor_set_to_json,
 )
 from gconstellations.cli import load_problem, main
+from strategies import principal_divisor
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 RUNNING = str(PROBLEMS / "c8_125.json")

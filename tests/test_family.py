@@ -22,10 +22,7 @@ from gconstellations import (
     lambda_shift,
     maximal_shift_family,
     make_fan,
-    maximal_shift_values,
-    normalize,
     pairing,
-    principal_divisor,
     quiver,
     quiver_to_dot,
     reductor_piece,
@@ -36,6 +33,7 @@ from gconstellations import (
 )
 from gconstellations.cli import load_problem
 from oracles import monomials_of_weight
+from strategies import principal_divisor
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -58,10 +56,10 @@ def coefficient_table(family, labels):
 def brute_force_rows(ray, group):
     """Every congruent vector inside the shift window, checked directly."""
     chars = group.characters()
-    shifts = maximal_shift_values(ray, group)
+    shifts = group.shortest_paths(ray.vector)
     axes = []
-    for char in chars:
-        low, high = -shifts[char.inverse()], shifts[char]
+    for i, char in enumerate(chars):
+        low, high = -shifts[group.inverses[i]], shifts[i]
         vals = []
         v = low
         while v <= high:
@@ -112,19 +110,18 @@ def test_maximal_shift_golden(g8, fan8):
 
 
 def test_maximal_shift_e5_minima(g8, fan8):
-    shifts = maximal_shift_values(fan8.ray(5), g8)
-    minima = [shifts[c] for c in g8.characters()]
-    assert minima == [Q(v, 8) for v in (0, 2, 4, 6, 8, 2, 4, 6)]
+    minima = g8.shortest_paths(fan8.ray(5).vector)
+    assert minima == tuple(Q(v, 8) for v in (0, 2, 4, 6, 8, 2, 4, 6))
 
 
 def test_maximal_shift_matches_monomial_minima(g8, fan8):
     # oracle: explicit minimum over weight-chi monomials in a box
     for ray in fan8.rays:
-        shifts = maximal_shift_values(ray, g8)
+        shifts = g8.shortest_paths(ray.vector)
         for char in g8.characters():
             oracle = min(pairing(ray, m)
                          for m in monomials_of_weight(g8, char, 8))
-            assert shifts[char] == oracle
+            assert shifts[g8.index[char]] == oracle
 
 
 def test_canonical_and_maxshift_pass_checks(g8, fan8):
@@ -333,19 +330,7 @@ def test_canonical_is_enumerated(g8, fan8):
     )
 
 
-# normalize / shifts / reflection ----------------------------------------
-
-def test_normalize(g8, fan8):
-    fam = canonical_family(fan8, g8)
-    offset = principal_divisor((1, 1, 1), fan8, g8)
-    shifted = ReductorSet.from_divisors([d + offset for d in fam.divisors])
-    assert not shifted.is_normalized
-    back = normalize(shifted)
-    assert back.is_normalized
-    assert [d.entries for d in back.divisors] == [
-        d.entries for d in fam.divisors]
-    assert normalize(fam) is fam
-
+# shifts / reflection ----------------------------------------------------
 
 def test_lambda_shift_requires_normalized(g8, fan8):
     fam = canonical_family(fan8, g8)
@@ -393,10 +378,11 @@ def test_reflect_involution_and_permutation(g3, fan3, g8, fan8):
     assert reflect(reflect(fam)) == fam
     # reflecting the canonical family gives the lower envelope -M_{chi^-1}
     mirror = reflect(maximal_shift_family(fan8, g8))
-    shifts = {r.label: maximal_shift_values(r, g8) for r in fan8.rays}
+    shifts = {r.label: g8.shortest_paths(r.vector) for r in fan8.rays}
     for d in mirror.divisors:
+        inverse = g8.index[d.character.inverse()]
         for label, coeff in d.entries:
-            assert coeff == -shifts[label][d.character.inverse()]
+            assert coeff == -shifts[label][inverse]
 
 
 def test_bounds_check_reports(g8, fan8):

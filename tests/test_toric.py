@@ -14,7 +14,6 @@ from gconstellations import (
     cartier_to_weil,
     chart_exponent,
     discrepancy,
-    dual_basis,
     junior_simplex,
     make_fan,
     maximal_shift_family,
@@ -114,28 +113,31 @@ def test_pairing(fan8):
     e4 = fan8.ray(4)
     assert pairing(e4, (1, 0, 0)) == Q(1, 8)
     assert pairing(e4, (0, 1, 1)) == Q(7, 8)
-    assert pairing((Q(1, 2), Q(1, 2)), (2, 0)) == 1
+    assert pairing(e4, (Q(1, 2), 0, 0)) == Q(1, 16)
 
 
-def test_dual_basis_goldens(g8, fan8):
-    lat = build_lattice(g8)
+def test_pairing_rejects_float_exponent(fan8):
+    # a float has no exact value, so no exact valuation
+    with pytest.raises(TypeError):
+        pairing(fan8.ray(4), (0.5, 0, 0))
+
+
+def test_dual_basis_goldens(fan8):
     cone456 = next(c for c in fan8.cones if set(c.labels) == {4, 5, 6})
-    duals = dual_basis(cone456, lat)
+    duals = cone456.dual_basis
     assert set(duals) == {(-2, 0, 2), (1, 2, -1), (2, -1, 0)}
     # dual vectors hit delta_ij against the cone's own rays, in order
     for j, v in enumerate(duals):
         for i, ray in enumerate(cone456.rays):
             assert pairing(ray, v) == int(i == j)
     cone567 = next(c for c in fan8.cones if set(c.labels) == {5, 6, 7})
-    duals2 = dual_basis(cone567, lat)
+    duals2 = cone567.dual_basis
     assert set(duals2) == {(0, -1, 2), (-1, 2, 1), (2, 0, -2)}
 
 
-def test_dual_basis_every_cone(g8, fan8):
-    lat = build_lattice(g8)
+def test_dual_basis_every_cone(fan8):
     for cone in fan8.cones:
-        duals = dual_basis(cone, lat)
-        for j, v in enumerate(duals):
+        for j, v in enumerate(cone.dual_basis):
             for i, ray in enumerate(cone.rays):
                 assert pairing(ray, v) == int(i == j)
 
@@ -147,12 +149,14 @@ def test_dual_basis_rejects_non_basic(g8, fan8):
     # |det| is the covolume, but the inverse has the entry 1/2
     skewed = Cone((Ray(1, (Q(1, 16), Q(0), Q(0))), Ray(2, (0, 2, 0)),
                    Ray(3, (0, 0, 1))))
-    # on every call, not only the first
+    # bad's inverse is integral, so only the covolume check rejects it
+    assert bad.dual_basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    # chart_exponent checks the cone on every call, not only the first
     for _ in range(3):
         with pytest.raises(NotBasicError, match="is not basic"):
-            dual_basis(bad, lat)
+            chart_exponent(bad, lat, [Q(0)] * 3)
         with pytest.raises(NotBasicError, match="not integral"):
-            dual_basis(skewed, lat)
+            chart_exponent(skewed, lat, [Q(0)] * 3)
 
 
 def test_each_dual_basis_built_once(monkeypatch):
@@ -186,6 +190,15 @@ def test_chart_exponent(g8, fan8):
     assert chart_exponent(cone, lat, [Q(0)] * 3) == (0, 0, 0)
     # a single 1/3 is not congruent to any valuation along a ray of 1/8 Z
     assert chart_exponent(cone, lat, [Q(1, 3), Q(0), Q(0)]) is None
+
+
+@pytest.mark.parametrize("coefficients", [
+    [Q(1, 8)], [Q(0), Q(0)], [Q(0), Q(0), Q(0), Q(5)], []])
+def test_chart_exponent_checks_length(fan8, coefficients):
+    # a sum over zip(coefficients, duals) would drop or ignore entries
+    cone = next(c for c in fan8.cones if c.labels == (4, 2, 5))
+    with pytest.raises(ValueError, match="^length mismatch: "):
+        chart_exponent(cone, fan8.lattice, coefficients)
 
 
 def test_each_matrix_eliminated_once(monkeypatch):
