@@ -125,7 +125,7 @@ def check_reductor(family: ReductorSet, fan: Fan,
     for ray in fan.rays:
         label = ray.label
         scale, costs = ray.scaled
-        shifts = group.scaled_paths(ray.vector)[1]
+        shifts = group.scaled_paths(ray.scaled)
         q = [_scaled(cm[label], scale) if label in cm else 0
              for cm in coeff_maps]
         for i, row in enumerate(group.steps):
@@ -147,13 +147,15 @@ def check_reductor(family: ReductorSet, fan: Fan,
 
 def _family_of_shifts(fan: Fan, group: GroupData, value) -> ReductorSet:
     """D_chi has coefficient value(M(chi)) at each ray, for the ray's
-    maximal shifts M."""
-    per_ray = [
-        (ray.label, group.shortest_paths(ray.vector)) for ray in fan.rays
-    ]
+    maximal shifts M. Each distinct value at a ray is made once."""
+    per_ray = []
+    for ray in fan.rays:
+        shifts = group.scaled_paths(ray.scaled)
+        exact = {n: value(Fraction(n, ray.scaled[0])) for n in set(shifts)}
+        per_ray.append((ray.label, [exact[n] for n in shifts]))
     return ReductorSet(tuple(
         GWeilDivisor.from_map(
-            char, {label: value(shifts[i]) for label, shifts in per_ray}
+            char, {label: values[i] for label, values in per_ray}
         )
         for i, char in enumerate(group.characters())
     ))
@@ -199,7 +201,7 @@ def enumerate_per_ray(ray: Ray, group: GroupData) -> PerRayTable:
     chars = group.characters()
     count = len(chars)
     scale, costs = ray.scaled
-    shifts = group.scaled_paths(ray.vector)[1]
+    shifts = group.scaled_paths(ray.scaled)
     lows = [-shifts[inverse] for inverse in group.inverses]
     spans = [high - low for high, low in zip(shifts, lows)]
     edges = [(s, t, lows[s] + cost - lows[t])
@@ -252,7 +254,6 @@ def enumerate_per_ray(ray: Ray, group: GroupData) -> PerRayTable:
 class NormalizedEnumeration:
     """Per-ray tables plus the total count; iterate to stream the sets."""
 
-    fan: Fan
     group: GroupData
     tables: tuple[PerRayTable, ...]
     count: int
@@ -283,7 +284,7 @@ def enumerate_normalized(fan: Fan, group: GroupData) -> NormalizedEnumeration:
     """Complete classification: Cartesian product of the per-ray tables."""
     tables = tuple(enumerate_per_ray(ray, group) for ray in fan.rays)
     count = prod(len(t.rows) for t in tables)
-    return NormalizedEnumeration(fan, group, tables, count)
+    return NormalizedEnumeration(group, tables, count)
 
 
 def _scaled_rows(family: ReductorSet):
@@ -387,7 +388,8 @@ def bounds_check(family: ReductorSet, fan: Fan,
     coeff_maps = [d.as_map() for d in family.divisors]
     for ray in fan.rays:
         label = ray.label
-        scale, shifts = group.scaled_paths(ray.vector)
+        scale = ray.scaled[0]
+        shifts = group.scaled_paths(ray.scaled)
         for divisor, cm in zip(family.divisors, coeff_maps):
             q = _scaled(cm[label], scale) if label in cm else 0
             char = divisor.character

@@ -154,7 +154,8 @@ def congruence_violations(divisor: GWeilDivisor, fan: Fan,
     i = group.index[divisor.character]
     bad = []
     for ray in fan.rays:
-        scale, shifts = group.scaled_paths(ray.vector)
+        scale = ray.scaled[0]
+        shifts = group.scaled_paths(ray.scaled)
         # c - n / D is an integer iff D * c - n is 0 mod D
         if (divisor.coefficient(ray.label) * scale - shifts[i]) % scale:
             bad.append(ray.label)

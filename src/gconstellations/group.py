@@ -9,8 +9,8 @@ monomials.
 Each group builds its Cayley graph once: characters are indexed in residue
 order, and a step along x_j moves from chi to chi * weight(x_j). Shortest
 paths on that graph give the maximal shifts along a ray. They run on the
-costs scaled to integers by their common denominator D and are kept only as
-(D, ints); shortest_paths forms their Fractions at the boundary.
+ray's scaled form (D, ints) from Ray.scaled, are kept under that key and
+stay integers: the i-th distance n stands for the shift n / D.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import prod
 from typing import Optional, Sequence
 
 
@@ -117,7 +116,7 @@ class GroupData:
         )
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "weights", weights)
-        # (D, scaled distances), keyed by cost vector
+        # scaled distances, keyed by a ray's scaled form (D, ints)
         object.__setattr__(self, "_paths", {})
 
     @classmethod
@@ -183,24 +182,20 @@ class GroupData:
             self.orders,
         )
 
-    def scaled_paths(self, costs: tuple[Fraction, ...]
-                     ) -> tuple[int, tuple[int, ...]]:
-        """(D, dist): D is the common denominator of the costs and dist[i]
-        is D times the cheapest path from the trivial character to the
-        i-th character, when a step along x_{j+1} costs costs[j] >= 0.
+    def scaled_paths(self, scaled: tuple[int, tuple[int, ...]]
+                     ) -> tuple[int, ...]:
+        """dist[i] is the cheapest path from the trivial character to the
+        i-th character, when a step along x_{j+1} costs ints[j] >= 0.
 
-        Dijkstra runs on the integer costs D * costs[j]. With a ray's
-        coordinates as costs, dist / D are the maximal shifts along the
-        ray. Results are kept per cost vector on this instance; a negative
-        cost raises ValueError.
+        scaled is a ray's Ray.scaled pair (D, ints), so dist / D are the
+        maximal shifts along the ray. Results are kept on this instance
+        under that pair; a negative cost raises ValueError.
         """
-        if costs in self._paths:
-            return self._paths[costs]
+        if scaled in self._paths:
+            return self._paths[scaled]
+        costs = scaled[1]
         if any(cost < 0 for cost in costs):
-            raise ValueError(f"step costs must be >= 0, not {costs}")
-        scale = lcm(*(cost.denominator for cost in costs))
-        steps_cost = [cost.numerator * (scale // cost.denominator)
-                      for cost in costs]
+            raise ValueError(f"step costs must be >= 0, not {scaled}")
         dist: list[Optional[int]] = [None] * self.order
         dist[0] = 0
         heap = [(0, 0)]
@@ -209,7 +204,7 @@ class GroupData:
             d, i = heapq.heappop(heap)
             if d > dist[i]:
                 continue
-            for cost, target in zip(steps_cost, steps[i]):
+            for cost, target in zip(costs, steps[i]):
                 nd = d + cost
                 if dist[target] is None or nd < dist[target]:
                     dist[target] = nd
@@ -217,12 +212,5 @@ class GroupData:
         if None in dist:
             raise ValueError("weight map is not surjective; the weight matrix "
                              "does not define a faithful diagonal action")
-        self._paths[costs] = paths = (scale, tuple(dist))
+        self._paths[scaled] = paths = tuple(dist)
         return paths
-
-    def shortest_paths(self, costs: tuple[Fraction, ...]
-                       ) -> tuple[Fraction, ...]:
-        """The cheapest paths of scaled_paths as exact Fractions, by index."""
-        scale, dist = self.scaled_paths(costs)
-        exact = {n: Fraction(n, scale) for n in set(dist)}
-        return tuple(exact[n] for n in dist)

@@ -12,7 +12,7 @@ The rest are the Fraction versions of the operations that now run on
 scaled integers: `shortest_paths_fraction` (Dijkstra on Fraction costs),
 `check_reductor_fraction`, `bounds_check_fraction`, `lambda_shift_fraction`,
 `reflect_fraction` and `sets_fraction`, the oracles for
-`GroupData.shortest_paths`, `check_reductor`, `bounds_check`,
+`GroupData.scaled_paths`, `check_reductor`, `bounds_check`,
 `lambda_shift`, `reflect` and `NormalizedEnumeration.sets`. They build
 divisors through the validating constructors and use only Fraction
 arithmetic. The chart layer has three more: `pairing_fraction` (the
@@ -97,7 +97,7 @@ def enumerate_per_ray_dfs(ray: Ray, group: GroupData) -> PerRayTable:
     already assigned, and rows come out in lexicographic order.
     """
     chars = group.characters()
-    shifts = group.shortest_paths(ray.vector)
+    shifts = shortest_paths_fraction(group, ray.vector)
     count = len(chars)
 
     candidates: list[list[Fraction]] = []

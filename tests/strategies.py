@@ -1,8 +1,10 @@
 """Hypothesis strategies shared by the property tests: random faithful
 diagonal actions of small abelian groups, with a junior ray and a
-character. Also two builders of test inputs: the denominator that pushes
-a coefficient off the grid, and the principal divisor of a monomial."""
+character. Also two builders of test inputs, the denominator that pushes
+a coefficient off the grid and the principal divisor of a monomial, and
+`shortest_paths`, the library's scaled shortest paths as Fractions."""
 
+from fractions import Fraction
 from math import gcd
 
 from hypothesis import HealthCheck, assume, settings
@@ -35,6 +37,11 @@ def principal_divisor(m, fan, group) -> GWeilDivisor:
         group.weight(m),
         {ray.label: pairing(ray, m) for ray in fan.rays},
     )
+
+
+def shortest_paths(group, scaled) -> tuple[Fraction, ...]:
+    """group.scaled_paths(scaled) divided by D, for scaled = (D, ints)."""
+    return tuple(Fraction(n, scaled[0]) for n in group.scaled_paths(scaled))
 
 
 def _weights(draw, order, n):

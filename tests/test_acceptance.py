@@ -28,6 +28,7 @@ from gconstellations import (
     GWeilDivisor,
 )
 from oracles import monomials_of_weight
+from strategies import shortest_paths
 
 
 def _passed(n: int) -> None:
@@ -98,11 +99,11 @@ def test_criterion_4_maximal_shift_golden(g8, fan8):
         for d in fam.divisors
     }
     assert actual == expected
-    minima = g8.shortest_paths(fan8.ray(5).vector)
+    minima = shortest_paths(g8, fan8.ray(5).scaled)
     assert minima == tuple(Q(v, 8) for v in (0, 2, 4, 6, 8, 2, 4, 6))
     # shortest-path values against the direct minimum over a monomial box
     for ray in fan8.rays:
-        shifts = g8.shortest_paths(ray.vector)
+        shifts = shortest_paths(g8, ray.scaled)
         for char in g8.characters():
             oracle = min(pairing(ray, m)
                          for m in monomials_of_weight(g8, char, 8))
@@ -252,6 +253,7 @@ def test_criterion_9_property_suite(g8, fan8, g2, fan2, g3, fan3,
     for _ in range(500):
         ray = rng.choice(fan8.rays)
         exponent = tuple(rng.randrange(-12, 13) for _ in range(3))
-        shift = g8.shortest_paths(ray.vector)[g8.index[g8.weight(exponent)]]
+        shift = shortest_paths(g8, ray.scaled)[
+            g8.index[g8.weight(exponent)]]
         assert frac(shift) == frac(pairing(ray, exponent))
     _passed(9)

@@ -19,6 +19,7 @@ from strategies import (
     faithful_groups,
     group_and_ray,
     group_ray_character,
+    shortest_paths,
 )
 
 
@@ -42,7 +43,7 @@ def test_maximal_shift_is_cheapest_monomial(case):
     # than |G| steps and every exponent is below |G|
     cheapest = min(pairing(ray, m) for m in
                    monomials_of_weight(group, char, group.order - 1))
-    assert group.shortest_paths(ray.vector)[group.index[char]] == cheapest
+    assert shortest_paths(group, ray.scaled)[group.index[char]] == cheapest
 
 
 @PROPERTIES
@@ -50,7 +51,7 @@ def test_maximal_shift_is_cheapest_monomial(case):
 def test_frac_val_matches_representative_monomial(case):
     group, ray, char = case
     m = representative_monomial(group, char)
-    shift = group.shortest_paths(ray.vector)[group.index[char]]
+    shift = shortest_paths(group, ray.scaled)[group.index[char]]
     assert frac(shift) == frac(pairing(ray, m))
 
 
@@ -60,7 +61,7 @@ def test_per_ray_search_matches_recursive_dfs(case):
     group, ray = case
     # keep the recursive oracle affordable: wide grids such as 1/11(2,0) at
     # (1, 0), 110 positions and 352,716 rows, take it minutes
-    shifts = group.shortest_paths(ray.vector)
+    shifts = shortest_paths(group, ray.scaled)
     assume(sum(shifts[i] + shifts[j] for i, j in enumerate(group.inverses))
            <= 40)
     assert enumerate_per_ray(ray, group) == enumerate_per_ray_dfs(ray, group)

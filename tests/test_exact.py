@@ -41,6 +41,9 @@ def test_dot():
     assert type(dot((1, 2, 3), (4, 5, 6))) is Fraction
     assert type(dot((Fraction(1, 2),), (2,))) is Fraction
     assert type(dot((), ())) is Fraction
+    # zip would drop the extra entry and return 5
+    with pytest.raises(ValueError, match="length mismatch: 2 vs 3"):
+        dot((1, 2), (1, 2, 3))
 
 
 def test_det_small_goldens():
@@ -91,6 +94,13 @@ def test_hermite_normal_form_golden():
     # ZZ^2 + ZZ*(1,2)/4, scaled by 4
     rows = [[4, 0], [0, 4], [1, 2]]
     assert hermite_normal_form(rows) == [[1, 2], [0, 4]]
+    assert hermite_normal_form([]) == []
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]]])
+def test_hermite_normal_form_rejects_ragged_rows(rows):
+    with pytest.raises(ValueError, match="ragged"):
+        hermite_normal_form(rows)
 
 
 def test_hermite_normal_form_properties():

@@ -21,7 +21,7 @@ from gconstellations import (
     weil_to_cartier,
 )
 from gconstellations.gdivisor import congruence_violations, parse_character
-from strategies import principal_divisor
+from strategies import principal_divisor, shortest_paths
 
 
 def chi(g, k):
@@ -31,7 +31,7 @@ def chi(g, k):
 def frac_val(ray, char, group):
     """Fractional valuation of weight-char monomials along the ray: the
     fractional part of the maximal shift, as in canonical_family."""
-    return frac(group.shortest_paths(ray.vector)[group.index[char]])
+    return frac(shortest_paths(group, ray.scaled)[group.index[char]])
 
 
 def test_monomial_string_low_dim():

@@ -6,13 +6,16 @@ from fractions import Fraction
 import pytest
 
 from gconstellations import (
+    Character,
     GCartierDivisor,
     GroupData,
     GWeilDivisor,
+    Ray,
     build_lattice,
     make_fan,
 )
 from oracles import monomials_of_weight, representative_monomial
+from strategies import shortest_paths
 
 
 def test_character_reduction_and_algebra():
@@ -39,6 +42,19 @@ def test_character_mismatched_groups_rejected():
     b = GroupData.cyclic(3, (1, 2)).trivial_character
     with pytest.raises(ValueError):
         a * b
+
+
+@pytest.mark.parametrize("residues, orders, message", [
+    ((1, 2), (3,), "equal length"),
+    ((1,), (2, 2), "equal length"),
+    ((1,), (0,), ">= 1"),
+    ((0, 1), (2, -1), ">= 1"),
+])
+def test_character_rejects_bad_orders(residues, orders, message):
+    # zip would drop the extra entries, r % 0 would raise ZeroDivisionError
+    # and r % -1 would give 0
+    with pytest.raises(ValueError, match=message):
+        Character(residues, orders)
 
 
 def test_group_order_dim_and_weight_reduction():
@@ -91,7 +107,7 @@ def test_representative_monomials_cover_all_characters():
               GroupData((2, 2), ((1, 0), (0, 1)))):
         # unit step costs: the shortest path to chi is the least degree of
         # a weight-chi monomial, the degree of the breadth-first oracle's
-        unit = g.shortest_paths((Fraction(1),) * g.dim)
+        unit = shortest_paths(g, (1, (1,) * g.dim))
         for char in g.characters():
             m = representative_monomial(g, char)
             assert g.weight(m) == char
@@ -102,7 +118,7 @@ def test_representative_monomials_cover_all_characters():
 def test_representative_monomial_random_consistency():
     rng = random.Random(5)
     g = GroupData.cyclic(8, (1, 2, 5))
-    unit = g.shortest_paths((Fraction(1),) * 3)
+    unit = shortest_paths(g, (1, (1,) * 3))
     for _ in range(100):
         m = tuple(rng.randint(0, 20) for _ in range(3))
         char = g.weight(m)
@@ -117,7 +133,7 @@ def test_validate_rejects_non_surjective_weights():
     with pytest.raises(ValueError, match="not surjective"):
         build_lattice(g)
     with pytest.raises(ValueError, match="not surjective"):
-        g.shortest_paths((Fraction(1), Fraction(1)))
+        shortest_paths(g, (1, (1, 1)))
     with pytest.raises(ValueError):
         representative_monomial(g, g.character((1,)))
 
@@ -127,7 +143,7 @@ def test_validate_accepts_faithful_actions():
               GroupData((2, 2), ((1, 0), (0, 1))),
               GroupData.cyclic(1, (0,))):
         assert build_lattice(g).index == g.order
-        assert len(g.shortest_paths((Fraction(1),) * g.dim)) == g.order
+        assert len(shortest_paths(g, (1, (1,) * g.dim))) == g.order
 
 
 def test_monomials_of_weight_oracle():
@@ -177,16 +193,19 @@ def test_fan_and_divisor_constructors_reject_non_integers(g8, fan8, bad):
 def test_shortest_paths_rejects_negative_costs():
     # a negative cost cycle has no shortest path; Dijkstra would never stop
     with pytest.raises(ValueError, match=">= 0"):
-        GroupData.cyclic(3, (1, 2)).shortest_paths((Fraction(-1), Fraction(2)))
+        shortest_paths(GroupData.cyclic(3, (1, 2)), (1, (-1, 2)))
 
 
 def test_scaled_paths_is_the_one_cached_form():
     g = GroupData.cyclic(8, (1, 2, 5))
-    costs = (Fraction(1, 8), Fraction(1, 4), Fraction(5, 8))
-    first = g.scaled_paths(costs)
-    assert g.scaled_paths(costs) is first
-    scale, dist = first
-    assert g.shortest_paths(costs) == tuple(Fraction(n, scale) for n in dist)
+    ray = Ray(4, (Fraction(1, 8), Fraction(1, 4), Fraction(5, 8)))
+    first = g.scaled_paths(ray.scaled)
+    assert g.scaled_paths(ray.scaled) is first
+    # an equal pair from another ray object hits the same entry
+    assert g.scaled_paths(Ray(4, ray.vector).scaled) is first
+    scale, _ = ray.scaled
+    assert shortest_paths(g, ray.scaled) == tuple(
+        Fraction(n, scale) for n in first)
 
 
 def test_characters_is_a_fresh_list_of_the_index():

@@ -34,7 +34,12 @@ from oracles import (
     sets_fraction,
     shortest_paths_fraction,
 )
-from strategies import PROPERTIES, faithful_groups, off_grid_denominator
+from strategies import (
+    PROPERTIES,
+    faithful_groups,
+    off_grid_denominator,
+    shortest_paths,
+)
 
 PERTURBATIONS = ("none", "off_grid", "unknown_ray", "upper", "lower",
                  "trivial", "missing")
@@ -52,7 +57,7 @@ def group_and_fan(draw):
     rays = tuple(Ray(label, v) for label, v in zip(labels, vectors))
     for ray in rays:
         # keep each per-ray table small
-        shifts = group.shortest_paths(ray.vector)
+        shifts = shortest_paths(group, ray.scaled)
         assume(sum(shifts[i] + shifts[j]
                    for i, j in enumerate(group.inverses)) <= 40)
     return group, Fan(lattice, rays, ())
@@ -70,7 +75,7 @@ def perturbed_sets(draw, kind):
               for c in range(len(chars))]
     c = draw(st.integers(min(1, len(chars) - 1), len(chars) - 1))
     ray = draw(st.sampled_from(fan.rays))
-    shifts = group.shortest_paths(ray.vector)
+    shifts = shortest_paths(group, ray.scaled)
     n = lcm(*group.orders)
     p = off_grid_denominator(n)
     if kind == "off_grid":
@@ -147,7 +152,7 @@ def test_streamed_sets_match_fraction_oracle(case):
     group, fan = case
     tables = tuple(enumerate_per_ray(ray, group) for ray in fan.rays)
     enumeration = NormalizedEnumeration(
-        fan, group, tables, prod(len(t.rows) for t in tables))
+        group, tables, prod(len(t.rows) for t in tables))
     streamed = list(enumeration.sets(limit=40))
     assert streamed == list(sets_fraction(enumeration, 40))
     for family in streamed:
@@ -168,10 +173,11 @@ COSTS = st.one_of(
 def test_shortest_paths_match_fraction_dijkstra(group, data):
     costs = tuple(data.draw(st.lists(COSTS, min_size=group.dim,
                                      max_size=group.dim)))
-    paths = group.shortest_paths(costs)
+    scale, ints = Ray(1, costs).scaled
+    paths = shortest_paths(group, (scale, ints))
     assert paths == shortest_paths_fraction(group, costs)
     assert all(type(d) is Fraction for d in paths)
-    scale, scaled = group.scaled_paths(costs)
+    scaled = group.scaled_paths((scale, ints))
     assert scale == lcm(*(c.denominator for c in costs))
     assert scaled == tuple(d * scale for d in paths)
 
@@ -184,9 +190,8 @@ def test_shortest_paths_reject_a_negative_cost(group, data):
     costs[data.draw(st.integers(0, group.dim - 1))] = -data.draw(
         st.fractions(min_value=0, max_value=3, max_denominator=12).filter(
             bool))
-    for paths in (group.shortest_paths, group.scaled_paths):
-        with pytest.raises(ValueError, match=">= 0"):
-            paths(tuple(costs))
+    with pytest.raises(ValueError, match=">= 0"):
+        group.scaled_paths(Ray(1, costs).scaled)
 
 
 @PROPERTIES

@@ -56,6 +56,9 @@ def test_lattice_primitivity(g8, fan8):
     for ray in fan8.rays:
         assert lat.is_primitive(ray.vector)
     assert not lat.is_primitive((Q(2, 8), Q(4, 8), Q(10, 8)))
+    # off the lattice: coordinates (1, -1/8, -1/2), which int() would read
+    # as the primitive (1, 0, 0)
+    assert not lat.is_primitive((Q(1, 8), Q(1, 8), Q(1, 8)))
 
 
 def test_build_lattice_small_groups(g2, g3, g31, g4, g1):

@@ -1,8 +1,9 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library or test module imports is used in that module.
 
-`__init__.py` only re-exports, so it is left out. The check reads each
-module's syntax tree with `ast`: an imported name counts as used when it
-occurs as a name anywhere else in the module, including in annotations.
+The library's `__init__.py` only re-exports, so it is left out. The check
+reads each module's syntax tree with `ast`: an imported name counts as used
+when it occurs as a name anywhere else in the module, including in
+annotations.
 """
 
 import ast
@@ -10,11 +11,11 @@ from pathlib import Path
 
 import pytest
 
+TESTS = Path(__file__).resolve().parent
 SOURCES = sorted(
-    path for path in (Path(__file__).resolve().parent.parent / "src"
-                      / "gconstellations").glob("*.py")
+    path for path in (TESTS.parent / "src" / "gconstellations").glob("*.py")
     if path.name != "__init__.py"
-)
+) + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
