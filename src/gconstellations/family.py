@@ -252,7 +252,7 @@ def enumerate_per_ray(ray: Ray, group: GroupData) -> PerRayTable:
 
 @dataclass(frozen=True)
 class NormalizedEnumeration:
-    """Per-ray tables plus the total count; iterate to stream the sets."""
+    """Per-ray tables plus the total count; sets() streams the sets."""
 
     group: GroupData
     tables: tuple[PerRayTable, ...]
@@ -275,9 +275,6 @@ class NormalizedEnumeration:
                     if row[c]))
                 for c, char in enumerate(chars)
             ))
-
-    def __iter__(self) -> Iterator[ReductorSet]:
-        return self.sets()
 
 
 def enumerate_normalized(fan: Fan, group: GroupData) -> NormalizedEnumeration:
@@ -336,8 +333,7 @@ def lambda_shift(family: ReductorSet, lam: Character) -> ReductorSet:
     scale, labels, rows, exact = _scaled_rows(family)
     by_char = dict(zip(chars, rows))
     lam_inv_char = lam.inverse()
-    family.divisor(lam_inv_char)  # KeyError when lam^-1 has no divisor
-    lam_inv = rows[chars.index(lam_inv_char)]
+    lam_inv = by_char[lam_inv_char]  # KeyError when lam^-1 has no divisor
     return _unscaled(scale, labels, [
         [a - b for a, b in zip(by_char[char * lam_inv_char], lam_inv)]
         for char in chars
@@ -408,9 +404,6 @@ class ReductorPiece:
     cone: Cone
     characters: tuple[Character, ...]
     exponents: tuple[tuple[int, ...], ...]
-
-    def monomials(self) -> tuple[str, ...]:
-        return tuple(monomial_string(m) for m in self.exponents)
 
     def to_json(self) -> dict:
         return {

@@ -205,16 +205,6 @@ def weil_to_cartier(divisor: GWeilDivisor, fan: Fan,
     ))
 
 
-def _ray_valuations(cartier: GCartierDivisor,
-                    fan: Fan) -> dict[int, set[Fraction]]:
-    """Each ray's valuations of the exponents of the cones containing it."""
-    values: dict[int, set[Fraction]] = {ray.label: set() for ray in fan.rays}
-    for cone, m in zip(fan.cones, cartier.exponents):
-        for ray in cone.rays:
-            values[ray.label].add(pairing(ray, m))
-    return values
-
-
 def cartier_to_weil(cartier: GCartierDivisor, fan: Fan,
                     group: GroupData) -> GWeilDivisor:
     """Read off ray coefficients from any cone containing each ray."""
@@ -226,7 +216,11 @@ def cartier_to_weil(cartier: GCartierDivisor, fan: Fan,
                 f"cone {k} exponent {m} does not have weight "
                 f"{cartier.character.name}"
             )
-    values = _ray_valuations(cartier, fan)
+    # each ray's valuations of the exponents of the cones containing it
+    values: dict[int, set[Fraction]] = {ray.label: set() for ray in fan.rays}
+    for cone, m in zip(fan.cones, cartier.exponents):
+        for ray in cone.rays:
+            values[ray.label].add(pairing(ray, m))
     bad = [label for label, seen in values.items() if len(seen) > 1]
     if bad:
         raise GluingViolationError(
@@ -288,8 +282,9 @@ def parse_character(raw, group: GroupData) -> Character:
 
 def parse_rational(raw, what: str) -> Fraction:
     """An exact rational from a JSON string such as "5/8" or a JSON integer;
-    a JSON float such as 0.1 has no exact value and is rejected."""
-    if isinstance(raw, str) or type(raw) is int:
+    a JSON float such as 0.1 has no exact value and is rejected, and so is
+    an exponent string such as "1e9", which Fraction would expand in full."""
+    if type(raw) is int or isinstance(raw, str) and not {"e", "E"} & set(raw):
         return Fraction(raw)
     raise ValueError(f"{what} must be an exact rational: a JSON string or a "
                      f"JSON integer, not {raw!r}")

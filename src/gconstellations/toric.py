@@ -79,16 +79,6 @@ class LatticeL:
             for j in range(self.dim)
         )
 
-    def contains(self, v: Sequence) -> bool:
-        return all(c.denominator == 1 for c in self.coordinates(v))
-
-    def is_primitive(self, v: Sequence) -> bool:
-        """True when v is in the lattice and no v/k (k >= 2) is."""
-        coords = self.coordinates(v)
-        if any(c.denominator != 1 for c in coords):
-            return False
-        return gcd(*(abs(int(c)) for c in coords)) == 1
-
 
 def build_lattice(group: GroupData) -> LatticeL:
     """The overlattice generated by the dual of Z^n and the weight rows /d_j."""
@@ -192,12 +182,6 @@ class Fan:
     @property
     def dim(self) -> int:
         return self.lattice.dim
-
-    def ray(self, label: int) -> Ray:
-        for r in self.rays:
-            if r.label == label:
-                return r
-        raise KeyError(f"no ray labeled {label}")
 
 
 def make_fan(
@@ -359,11 +343,12 @@ def validate_fan(fan: Fan) -> FanValidationReport:
     n = fan.dim
     ray_errors = []
     for ray in fan.rays:
+        coords = lattice.coordinates(ray.vector)
         if any(x < 0 for x in ray.vector):
             ray_errors.append(f"{ray.name} has a negative coordinate")
-        elif not lattice.contains(ray.vector):
+        elif any(c.denominator != 1 for c in coords):
             ray_errors.append(f"{ray.name} is not a lattice point")
-        elif not lattice.is_primitive(ray.vector):
+        elif gcd(*(c.numerator for c in coords)) != 1:
             ray_errors.append(f"{ray.name} is not primitive in the lattice")
     used = {label for cone in fan.cones for label in cone.labels}
     warnings = [

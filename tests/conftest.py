@@ -1,10 +1,39 @@
-"""Shared fixtures: the worked cyclic examples used across the suite."""
+"""Shared fixtures: a per-test time limit and the worked cyclic examples
+used across the suite."""
 
+import signal
 from fractions import Fraction
 
 import pytest
 
 from gconstellations import GroupData, build_lattice, make_fan
+
+# the slowest test takes a few seconds; a hang (for example Dijkstra on a
+# negative cost) fails at this limit instead of stalling the suite
+TIME_LIMIT_S = 120
+
+
+class TimeLimitExceeded(BaseException):
+    """Not an Exception, so hypothesis reports it without shrinking."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs longer than TIME_LIMIT_S, where SIGALRM exists."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"test ran longer than {TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _fan(group, rays, cones):

@@ -20,6 +20,7 @@ from gconstellations import (
     junior_simplex,
     lambda_shift,
     maximal_shift_family,
+    monomial_string,
     pairing,
     reductor_piece,
     reflect,
@@ -99,7 +100,7 @@ def test_criterion_4_maximal_shift_golden(g8, fan8):
         for d in fam.divisors
     }
     assert actual == expected
-    minima = shortest_paths(g8, fan8.ray(5).scaled)
+    minima = shortest_paths(g8, fan8.rays[4].scaled)
     assert minima == tuple(Q(v, 8) for v in (0, 2, 4, 6, 8, 2, 4, 6))
     # shortest-path values against the direct minimum over a monomial box
     for ray in fan8.rays:
@@ -183,7 +184,7 @@ def test_criterion_5_enumeration_golden(g8, fan8):
         assert {_mirror(row) for row in rows} == rows, (
             f"E{label}: reference table is not reflection-closed")
         expected = {tuple(Q(v, 8) for v in row) for row in rows}
-        table = enumerate_per_ray(fan8.ray(label), g8)
+        table = enumerate_per_ray(fan8.rays[label - 1], g8)
         assert set(table.rows) == expected, (
             f"E{label}: computed table has {len(table.rows)} rows, "
             f"reference set has {len(expected)}"
@@ -211,10 +212,10 @@ def test_criterion_6_cartier_conversion(g8, fan8):
 def test_criterion_7_reductor_pieces(g8, fan8):
     fam = canonical_family(fan8, g8)
     high = reductor_piece(fam, _cone(fan8, (5, 6, 7)), fan8, g8)
-    assert set(high.monomials()) == {
+    assert {monomial_string(m) for m in high.exponents} == {
         "1", "x", "y", "xy", "x/z", "z", "xy/z", "yz"}
     low = reductor_piece(fam, _cone(fan8, (4, 5, 6)), fan8, g8)
-    assert set(low.monomials()) == {
+    assert {monomial_string(m) for m in low.exponents} == {
         "1", "x", "y", "xy", "z/x", "z", "yz/x", "yz"}
     _passed(7)
 
@@ -236,7 +237,7 @@ def test_criterion_9_property_suite(g8, fan8, g2, fan2, g3, fan3,
                                     g31, fan31):
     cases = [(g8, fan8), (g2, fan2), (g3, fan3), (g31, fan31)]
     for group, fan in cases:
-        sets = list(enumerate_normalized(fan, group))
+        sets = list(enumerate_normalized(fan, group).sets())
         keys = {_key(s) for s in sets}
         assert len(keys) == len(sets)
         for s in sets:

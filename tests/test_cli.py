@@ -356,7 +356,7 @@ def test_cartier_unknown_ray(capsys, tmp_path):
         "invalid coefficients: unknown ray label 'E9'")
 
 
-@pytest.mark.parametrize("value", [0.125, 1.0, True])
+@pytest.mark.parametrize("value", [0.125, 1.0, True, "125E-3"])
 def test_non_rational_coefficient_rejected(capsys, running_problem, tmp_path,
                                            value):
     coeffs = tmp_path / "coeffs.json"
@@ -479,11 +479,24 @@ def test_missing_input_file(capsys):
     assert json.loads(out)["error"] == "invalid input"
 
 
-def test_malformed_json(capsys, tmp_path):
+@pytest.mark.parametrize("content", [
+    b"{not json",
+    b'{"group": "\xff"}',
+    # nested deeper than the recursion limit
+    b"[" * 200_000,
+    # longer than Python's limit on int-string digits
+    b'{"group": ' + b"9" * 5000 + b"}",
+], ids=["syntax", "not-utf8", "deep", "long-int"])
+@pytest.mark.parametrize("command", [
+    ["info", "--input"],
+    ["check", "--input", RUNNING, "--set"],
+    ["cartier", "--input", RUNNING, "--char", "1", "--coeffs"],
+], ids=["input", "set", "coeffs"])
+def test_malformed_json(capsys, tmp_path, command, content):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, out, _ = run(capsys, "info", "--input", str(bad))
-    assert code == 1
+    bad.write_bytes(content)
+    code, out, err = run(capsys, *command, str(bad))
+    assert (code, err) == (1, "")
     assert "not valid JSON" in json.loads(out)["detail"]
 
 
@@ -678,6 +691,10 @@ def test_problem_shape_rejected(capsys, tmp_path, problem, detail):
      "invalid fan: every ray needs 3 coordinates"),
     (("fan", "cones", 0), [1, 2],
      "invalid fan: cone (1, 2) must have exactly 3 rays"),
+    # Fraction would expand the exponent into a 200-million-digit integer
+    (("fan", "rays", 3, 0), "1e200000000",
+     "invalid fan: ray entry must be an exact rational: a JSON string or a "
+     "JSON integer, not '1e200000000'"),
 ])
 def test_malformed_fan_rejected(capsys, tmp_path, path, value, detail):
     bad = edit_problem(tmp_path, "c8_125.json", path, value)
@@ -689,6 +706,8 @@ def test_malformed_fan_rejected(capsys, tmp_path, path, value, detail):
 @pytest.mark.parametrize("vector, error", [
     (["-1/8", "2/8", "7/8"], "E4 has a negative coordinate"),
     (["1/8", "1/8", "6/8"], "E4 is not a lattice point"),
+    # twice E4
+    (["2/8", "4/8", "10/8"], "E4 is not primitive in the lattice"),
 ])
 def test_bad_ray_fails_validation(capsys, tmp_path, vector, error):
     bad = edit_problem(tmp_path, "c8_125.json", ("fan", "rays", 3), vector)

@@ -90,7 +90,7 @@ def test_weil_divisor_arithmetic(g8):
 
 
 def test_frac_val_goldens(g8, fan8):
-    e4, e6, e7 = fan8.ray(4), fan8.ray(6), fan8.ray(7)
+    e4, e6, e7 = fan8.rays[3], fan8.rays[5], fan8.rays[6]
     assert frac_val(e4, chi(g8, 1), g8) == Q(1, 8)
     assert frac_val(e7, chi(g8, 1), g8) == Q(5, 8)
     assert frac_val(e6, chi(g8, 5), g8) == Q(4, 8)

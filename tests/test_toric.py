@@ -43,22 +43,29 @@ def test_build_lattice_golden_8_125(g8):
 
 
 def test_lattice_membership(g8):
+    # a vector is in the lattice when its coordinates in the basis rows
+    # (1/8, 1/4, 5/8), e2, e3 are integers
     lat = build_lattice(g8)
-    assert lat.contains((Q(1, 8), Q(2, 8), Q(5, 8)))
-    assert lat.contains((1, 0, 0))
-    assert not lat.contains((Q(1, 8), Q(1, 8), Q(1, 8)))
+    assert lat.coordinates((Q(1, 8), Q(2, 8), Q(5, 8))) == (1, 0, 0)
+    assert lat.coordinates((1, 0, 0)) == (8, -2, -5)
+    assert lat.coordinates((Q(1, 8), Q(1, 8), Q(1, 8))) == (
+        1, Q(-1, 8), Q(-1, 2))
     # doubling the generator stays inside
-    assert lat.contains((Q(2, 8), Q(4, 8), Q(10, 8)))
+    assert lat.coordinates((Q(2, 8), Q(4, 8), Q(10, 8))) == (2, 0, 0)
 
 
-def test_lattice_primitivity(g8, fan8):
-    lat = build_lattice(g8)
-    for ray in fan8.rays:
-        assert lat.is_primitive(ray.vector)
-    assert not lat.is_primitive((Q(2, 8), Q(4, 8), Q(10, 8)))
-    # off the lattice: coordinates (1, -1/8, -1/2), which int() would read
-    # as the primitive (1, 0, 0)
-    assert not lat.is_primitive((Q(1, 8), Q(1, 8), Q(1, 8)))
+def test_lattice_primitivity(fan8):
+    assert validate_fan(fan8).ray_errors == ()
+    for vector, error in [
+        ((Q(2, 8), Q(4, 8), Q(10, 8)), "E4 is not primitive in the lattice"),
+        # off the lattice: coordinates (1, -1/8, -1/2), which int() would
+        # read as the primitive (1, 0, 0)
+        ((Q(1, 8), Q(1, 8), Q(1, 8)), "E4 is not a lattice point"),
+    ]:
+        vectors = [ray.vector for ray in fan8.rays]
+        vectors[3] = vector
+        fan = make_fan(fan8.lattice, vectors, [c.labels for c in fan8.cones])
+        assert validate_fan(fan).ray_errors == (error,)
 
 
 def test_build_lattice_small_groups(g2, g3, g31, g4, g1):
@@ -113,7 +120,7 @@ def test_is_crepant(fan8, fan2, fan3, fan31, fan4, fan1):
 
 
 def test_pairing(fan8):
-    e4 = fan8.ray(4)
+    e4 = fan8.rays[3]
     assert pairing(e4, (1, 0, 0)) == Q(1, 8)
     assert pairing(e4, (0, 1, 1)) == Q(7, 8)
     assert pairing(e4, (Q(1, 2), 0, 0)) == Q(1, 16)
@@ -122,7 +129,7 @@ def test_pairing(fan8):
 def test_pairing_rejects_float_exponent(fan8):
     # a float has no exact value, so no exact valuation
     with pytest.raises(TypeError):
-        pairing(fan8.ray(4), (0.5, 0, 0))
+        pairing(fan8.rays[3], (0.5, 0, 0))
 
 
 def test_dual_basis_goldens(fan8):
@@ -148,7 +155,7 @@ def test_dual_basis_every_cone(fan8):
 def test_dual_basis_rejects_non_basic(g8, fan8):
     lat = build_lattice(g8)
     # e1, e2, e3 span the unresolved quotient cone of normalized volume 1
-    bad = Cone(tuple(fan8.ray(i) for i in (1, 2, 3)))
+    bad = Cone(fan8.rays[:3])
     # |det| is the covolume, but the inverse has the entry 1/2
     skewed = Cone((Ray(1, (Q(1, 16), Q(0), Q(0))), Ray(2, (0, 2, 0)),
                    Ray(3, (0, 0, 1))))
@@ -305,12 +312,6 @@ def test_validate_fan_coverage_counts_cones(g31):
     report = validate_fan(fan)
     assert report.coverage is False
     assert not report.passed
-
-
-def test_fan_lookup_helpers(fan8):
-    assert fan8.ray(4).name == "E4"
-    with pytest.raises(KeyError):
-        fan8.ray(9)
 
 
 def test_make_fan_rejects_unknown_ray(g2):
