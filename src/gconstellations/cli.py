@@ -168,8 +168,6 @@ def load_problem(path: str):
             [parse_rational(x, "ray entry") for x in _json_list(vec, "ray")]
             for vec in _json_list(fan_spec.get("rays", []), "rays")
         ]
-        if any(len(vec) != group.dim for vec in rays):
-            raise ValueError(f"every ray needs {group.dim} coordinates")
         cones = [_json_ints(c, "cone")
                  for c in _json_list(fan_spec.get("cones", []), "cones")]
         fan = make_fan(lattice, rays, cones)

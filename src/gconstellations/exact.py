@@ -20,6 +20,15 @@ from typing import Optional, Sequence, Union
 RationalLike = Union[int, str, Fraction]
 
 
+def rational(x, what: str) -> Fraction:
+    """x as a Fraction; ValueError unless x is a Fraction or an int other
+    than a bool, since Fraction() would take a float at its binary value,
+    True as 1 and a string of any length."""
+    if type(x) is not int and not isinstance(x, Fraction):
+        raise ValueError(f"{what} must be int or Fraction, not {x!r}")
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def frac(q: RationalLike) -> Fraction:
     """Fractional part of q, always in [0, 1); q - frac(q) is an integer."""
     q = Fraction(q)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
 from operator import mul
 from typing import Iterator, Mapping, Optional
@@ -26,6 +27,7 @@ from .exact import frac
 from .gdivisor import (
     GWeilDivisor,
     chart_monomial,
+    congruence_violations,
     divisor_from_json,
     divisor_to_json,
     linear_equivalence_witness,
@@ -48,12 +50,6 @@ class ReductorSet:
         )
         return cls(ordered)
 
-    def divisor(self, char: Character) -> GWeilDivisor:
-        for d in self.divisors:
-            if d.character == char:
-                return d
-        raise KeyError(f"no divisor for {char.name}")
-
     @property
     def characters(self) -> tuple[Character, ...]:
         return tuple(d.character for d in self.divisors)
@@ -63,6 +59,25 @@ class ReductorSet:
         return all(
             not d.character.is_trivial or d.is_zero for d in self.divisors
         )
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...],
+                              tuple[tuple[int, ...], ...]]:
+        """(D, labels, rows): D is the lcm of the coefficients' denominators,
+        labels the ray labels holding a nonzero coefficient, in increasing
+        order, and rows[k][l] is D times the k-th divisor's coefficient at
+        labels[l]."""
+        entries = [d.entries for d in self.divisors]
+        scale = lcm(*(c.denominator for e in entries for _, c in e))
+        labels = tuple(sorted({label for e in entries for label, _ in e}))
+        position = {label: l for l, label in enumerate(labels)}
+        rows = []
+        for e in entries:
+            row = [0] * len(labels)
+            for label, c in e:
+                row[position[label]] = c.numerator * (scale // c.denominator)
+            rows.append(tuple(row))
+        return scale, labels, tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -97,51 +112,39 @@ class ReductorReport:
         }
 
 
-def _scaled(q, scale: int):
-    """q * scale: an int when q lies in (1/scale)Z, else the exact Fraction,
-    so comparisons and congruences of scaled values come out as for q."""
-    if scale % q.denominator:
-        return q * scale
-    return q.numerator * (scale // q.denominator)
+def _ray_columns(family: ReductorSet, fan: Fan):
+    """(ray, D, q) per fan ray: D is the set's common denominator and q[k]
+    is D * D_e times the k-th divisor's coefficient at the ray, for the
+    ray's D_e, so q compares as ints with D times the ray's scaled values."""
+    scale, labels, rows = family.scaled
+    columns = dict(zip(labels, zip(*rows)))
+    zeros = (0,) * len(rows)
+    for ray in fan.rays:
+        d_e = ray.scaled[0]
+        yield ray, scale, [n * d_e for n in columns.get(ray.label, zeros)]
 
 
 def check_reductor(family: ReductorSet, fan: Fan,
                    group: GroupData) -> ReductorReport:
-    """Verify structure, congruences and the multiplication inequalities.
-
-    At each ray everything is scaled by the common denominator D of the
-    ray's coordinates, so the maximal shifts and the step costs are ints.
-    """
+    """Verify structure, congruences and the multiplication inequalities,
+    the inequalities on ints over each ray's common denominator."""
     chars = family.characters
     if list(chars) != group.characters():
         return ReductorReport(
             ("need exactly one divisor per character, sorted by residues",),
             (), (),
         )
-
-    incongruent: list[list[int]] = [[] for _ in chars]  # labels per char
-    condition = []
-    coeff_maps = [d.as_map() for d in family.divisors]
-    for ray in fan.rays:
-        label = ray.label
-        scale, costs = ray.scaled
-        shifts = group.scaled_paths(ray.scaled)
-        q = [_scaled(cm[label], scale) if label in cm else 0
-             for cm in coeff_maps]
-        for i, row in enumerate(group.steps):
-            qi = q[i]
-            # q - shift is an integer iff their scaled difference is 0 mod D
-            if (qi - shifts[i]) % scale:
-                incongruent[i].append(label)
-            for j, target in enumerate(row):
-                if qi + costs[j] < q[target]:
-                    condition.append((chars[i], j + 1, label))
-    labels = {ray.label for ray in fan.rays}
-    for bad, cm in zip(incongruent, coeff_maps):
-        bad.extend(sorted(set(cm) - labels))
     congruence = tuple(
-        (char, label) for char, bad in zip(chars, incongruent) for label in bad
+        (d.character, label) for d in family.divisors
+        for label in congruence_violations(d, fan, group)
     )
+    condition = []
+    for ray, scale, q in _ray_columns(family, fan):
+        costs = [cost * scale for cost in ray.scaled[1]]
+        for i, row in enumerate(group.steps):
+            for j, target in enumerate(row):
+                if q[i] + costs[j] < q[target]:
+                    condition.append((chars[i], j + 1, ray.label))
     return ReductorReport((), congruence, tuple(condition))
 
 
@@ -284,31 +287,11 @@ def enumerate_normalized(fan: Fan, group: GroupData) -> NormalizedEnumeration:
     return NormalizedEnumeration(group, tables, count)
 
 
-def _scaled_rows(family: ReductorSet):
-    """(D, labels, rows, exact): D is the common denominator of the set's
-    coefficients, labels every ray label they sit at, in increasing order,
-    rows[k][l] is D times the k-th divisor's coefficient at labels[l], and
-    exact maps each scaled coefficient to its Fraction."""
-    entries = [d.entries for d in family.divisors]
-    scale = lcm(*(c.denominator for e in entries for _, c in e))
-    labels = sorted({label for e in entries for label, _ in e})
-    position = {label: l for l, label in enumerate(labels)}
-    rows = []
-    exact: dict[int, Fraction] = {}
-    for e in entries:
-        row = [0] * len(labels)
-        for label, c in e:
-            row[position[label]] = n = c.numerator * (scale // c.denominator)
-            exact[n] = c
-        rows.append(row)
-    return scale, labels, rows, exact
-
-
-def _unscaled(scale: int, labels: list[int], rows: list[list[int]],
-              exact: dict[int, Fraction],
+def _unscaled(scale: int, labels: tuple[int, ...], rows: list[list[int]],
               characters: tuple[Character, ...]) -> ReductorSet:
-    """The set with the given characters and coefficients rows / D. A value
-    already in exact is reused; each new one becomes a Fraction once."""
+    """The set with the given characters and coefficients rows / D; each
+    distinct value becomes a Fraction once."""
+    exact: dict[int, Fraction] = {}
     divisors = []
     for char, row in zip(characters, rows):
         entries = []
@@ -330,25 +313,25 @@ def lambda_shift(family: ReductorSet, lam: Character) -> ReductorSet:
     if not family.is_normalized:
         raise ValueError("lambda_shift expects a normalized set")
     chars = family.characters
-    scale, labels, rows, exact = _scaled_rows(family)
+    scale, labels, rows = family.scaled
     by_char = dict(zip(chars, rows))
     lam_inv_char = lam.inverse()
     lam_inv = by_char[lam_inv_char]  # KeyError when lam^-1 has no divisor
     return _unscaled(scale, labels, [
         [a - b for a, b in zip(by_char[char * lam_inv_char], lam_inv)]
         for char in chars
-    ], exact, chars)
+    ], chars)
 
 
 def reflect(family: ReductorSet) -> ReductorSet:
     """The dual family D'_chi = -D_{chi^-1}; an involution, negated on the
     coefficients scaled by their common denominator."""
     chars = family.characters
-    scale, labels, rows, exact = _scaled_rows(family)
+    scale, labels, rows = family.scaled
     by_char = dict(zip(chars, rows))
     return _unscaled(scale, labels, [
         [-n for n in by_char[char.inverse()]] for char in chars
-    ], exact, chars)
+    ], chars)
 
 
 @dataclass(frozen=True)
@@ -377,23 +360,19 @@ class BoundsReport:
 def bounds_check(family: ReductorSet, fan: Fan,
                  group: GroupData) -> BoundsReport:
     """Check M_chi >= D_chi >= -M_{chi^-1} coefficientwise (normalized sets),
-    on the values scaled by each ray's common denominator."""
+    on ints over each ray's common denominator."""
     if not family.is_normalized:
         return BoundsReport(False, ())
     violations = []
-    coeff_maps = [d.as_map() for d in family.divisors]
-    for ray in fan.rays:
-        label = ray.label
-        scale = ray.scaled[0]
-        shifts = group.scaled_paths(ray.scaled)
-        for divisor, cm in zip(family.divisors, coeff_maps):
-            q = _scaled(cm[label], scale) if label in cm else 0
+    for ray, scale, q in _ray_columns(family, fan):
+        shifts = [n * scale for n in group.scaled_paths(ray.scaled)]
+        for divisor, qk in zip(family.divisors, q):
             char = divisor.character
             i = group.index[char]
-            if q > shifts[i]:
-                violations.append((char, label, "upper"))
-            if q < -shifts[group.inverses[i]]:
-                violations.append((char, label, "lower"))
+            if qk > shifts[i]:
+                violations.append((char, ray.label, "upper"))
+            if qk < -shifts[group.inverses[i]]:
+                violations.append((char, ray.label, "lower"))
     return BoundsReport(True, tuple(violations))
 
 
@@ -551,9 +530,7 @@ def equivalence_witness(a: ReductorSet, b: ReductorSet, fan: Fan,
     """
     if a.characters != b.characters:
         raise ValueError("families live over different character groups")
-    differences = [
-        b.divisor(char) - a.divisor(char) for char in a.characters
-    ]
+    differences = [db - da for da, db in zip(a.divisors, b.divisors)]
     first = differences[0]
     if any(d.entries != first.entries for d in differences[1:]):
         return EquivalenceResult(None, None, False)

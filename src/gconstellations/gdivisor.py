@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
+from .exact import rational
 from .group import Character, GroupData
 from .toric import Fan, chart_exponent, pairing
 
@@ -73,13 +74,7 @@ class GWeilDivisor:
         for label, c in self.entries:
             if type(label) is not int:
                 raise ValueError(f"ray labels must be integers: {label!r}")
-            if type(c) is not Fraction:
-                # Fraction() would take a float at its binary value and
-                # True as 1
-                if type(c) is not int and not isinstance(c, Fraction):
-                    raise ValueError(
-                        f"coefficients must be int or Fraction, not {c!r}")
-                c = Fraction(c)
+            c = rational(c, "coefficients")
             if c:
                 cleaned.append((label, c))
         cleaned.sort()
@@ -152,18 +147,16 @@ def congruence_violations(divisor: GWeilDivisor, fan: Fan,
     the maximal shift (as every weight-chi valuation is), then labels not
     in the fan."""
     i = group.index[divisor.character]
+    coeffs = divisor.as_map()
     bad = []
     for ray in fan.rays:
         scale = ray.scaled[0]
-        shifts = group.scaled_paths(ray.scaled)
-        # c - n / D is an integer iff D * c - n is 0 mod D
-        if (divisor.coefficient(ray.label) * scale - shifts[i]) % scale:
+        n = group.scaled_paths(ray.scaled)[i]
+        p, q = coeffs.pop(ray.label, _ZERO).as_integer_ratio()
+        # p / q - n / D is an integer iff D * p - n * q is 0 mod D * q
+        if (scale * p - n * q) % (scale * q):
             bad.append(ray.label)
-    unknown = {label for label, _ in divisor.entries} - {
-        r.label for r in fan.rays
-    }
-    bad.extend(sorted(unknown))
-    return bad
+    return bad + sorted(coeffs)
 
 
 def chart_monomial(divisor: GWeilDivisor, k: int, fan: Fan,

@@ -32,6 +32,8 @@ class Character:
 
     def __post_init__(self) -> None:
         orders = tuple(self.orders)
+        if any(type(x) is not int for x in (*self.residues, *orders)):
+            raise ValueError("residues and orders must be integers")
         if len(self.residues) != len(orders):
             raise ValueError("residues and orders must have equal length")
         if any(d < 1 for d in orders):

@@ -22,7 +22,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from . import exact
-from .exact import dot, frac, hermite_normal_form
+from .exact import dot, frac, hermite_normal_form, rational
 from .group import GroupData
 
 Vector = tuple[Fraction, ...]
@@ -33,7 +33,7 @@ class NotBasicError(ValueError):
 
 
 def _vec(values: Sequence) -> Vector:
-    return tuple(Fraction(v) for v in values)
+    return tuple(rational(v, "coordinates") for v in values)
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,8 @@ class LatticeL:
         """Coefficients of v in the basis rows."""
         inv = self._inverse  # type: ignore[attr-defined]
         w = _vec(v)
+        if len(w) != self.dim:
+            raise ValueError(f"length mismatch: {self.dim} vs {len(w)}")
         return tuple(
             sum((w[i] * inv[i][j] for i in range(self.dim)), Fraction(0))
             for j in range(self.dim)
@@ -108,6 +110,8 @@ class Ray:
     vector: Vector
 
     def __post_init__(self) -> None:
+        if type(self.label) is not int:
+            raise ValueError(f"ray labels must be integers: {self.label!r}")
         object.__setattr__(self, "vector", _vec(self.vector))
 
     @property
@@ -165,6 +169,8 @@ class Fan:
     cones: tuple[Cone, ...]
 
     def __post_init__(self) -> None:
+        if any(len(r.vector) != self.dim for r in self.rays):
+            raise ValueError(f"every ray needs {self.dim} coordinates")
         labels = [r.label for r in self.rays]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate ray labels")
@@ -190,9 +196,7 @@ def make_fan(
     cone_indices: Sequence[Sequence[int]],
 ) -> Fan:
     """Assemble a Fan from raw vectors and 1-based ray index lists."""
-    rays = tuple(
-        Ray(i + 1, _vec(vec)) for i, vec in enumerate(ray_vectors)
-    )
+    rays = tuple(Ray(i + 1, vec) for i, vec in enumerate(ray_vectors))
     by_label = {r.label: r for r in rays}
     cones = []
     for indices in cone_indices:

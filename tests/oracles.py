@@ -210,7 +210,7 @@ def lambda_shift_fraction(family: ReductorSet,
         raise ValueError("lambda_shift expects a normalized set")
     by_char = {d.character: d for d in family.divisors}
     lam_inv_char = lam.inverse()
-    lam_inv = family.divisor(lam_inv_char)
+    lam_inv = by_char[lam_inv_char]
     return ReductorSet.from_divisors([
         by_char[char * lam_inv_char] - lam_inv for char in family.characters
     ])
@@ -275,7 +275,8 @@ def quiver_fraction(family: ReductorSet, cone: Cone, fan: Fan,
                 zip(exponents[source], exponents[target])))
             coords = tuple(
                 d.coefficient(ray.label) + ray.vector[j]
-                - family.divisor(target).coefficient(ray.label)
+                - {e.character: e
+                   for e in family.divisors}[target].coefficient(ray.label)
                 for ray in cone.rays
             )
             arrows.append(QuiverArrow(source, target, j + 1, label, coords))

@@ -695,6 +695,8 @@ def test_problem_shape_rejected(capsys, tmp_path, problem, detail):
     (("fan", "rays", 3, 0), "1e200000000",
      "invalid fan: ray entry must be an exact rational: a JSON string or a "
      "JSON integer, not '1e200000000'"),
+    (("fan", "rays", 3), ["1/8", "2/8", "5/8", "0"],
+     "invalid fan: every ray needs 3 coordinates"),
 ])
 def test_malformed_fan_rejected(capsys, tmp_path, path, value, detail):
     bad = edit_problem(tmp_path, "c8_125.json", path, value)

@@ -3,9 +3,12 @@ shifts, bounds, chart pieces, quivers, equivalence."""
 
 import itertools
 from fractions import Fraction as Q
+from math import lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gconstellations import (
     GroupData,
@@ -35,6 +38,7 @@ from gconstellations import (
 from gconstellations.cli import load_problem
 from oracles import monomials_of_weight
 from strategies import principal_divisor, shortest_paths
+from test_scaled import PERTURBATIONS, SHORT, _outcome, perturbed_sets
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -368,6 +372,30 @@ def test_lambda_shift_composition(g3, fan3):
     assert lambda_shift(lambda_shift(fam, a), b) == lambda_shift(fam, a * b)
 
 
+@pytest.mark.parametrize("kind", PERTURBATIONS)
+@SHORT
+@given(data=st.data())
+def test_reductor_set_scaled_form(kind, data):
+    group, _, family = data.draw(perturbed_sets(kind))
+    cold = ReductorSet(family.divisors)
+    scale, labels, rows = family.scaled
+    coeffs = [d.as_map() for d in family.divisors]
+    assert scale == lcm(*(c.denominator for cm in coeffs for c in cm.values()))
+    assert labels == tuple(sorted(
+        {label for cm in coeffs for label, c in cm.items() if c}))
+    assert len(rows) == len(coeffs)
+    for row, cm in zip(rows, coeffs):
+        assert len(row) == len(labels)
+        assert all(type(n) is int for n in row)
+        assert [Q(n, scale) for n in row] == [cm.get(l, 0) for l in labels]
+    # the operations give the same set whether or not scaled was read first
+    assert "scaled" not in vars(cold)
+    assert _outcome(reflect, cold) == _outcome(reflect, family)
+    for lam in group.characters():
+        assert _outcome(lambda_shift, ReductorSet(family.divisors), lam) == (
+            _outcome(lambda_shift, family, lam))
+
+
 def test_reflect_involution_and_permutation(g3, fan3, g8, fan8):
     sets3 = list(enumerate_normalized(fan3, g3).sets())
     keys3 = {tuple(d.entries for d in s.divisors) for s in sets3}
@@ -437,7 +465,8 @@ def test_reductor_piece_valuations_match_divisors(g8, fan8):
         piece = reductor_piece(fam, cone, fan8, g8)
         for char, m in zip(piece.characters, piece.exponents):
             for ray in cone.rays:
-                assert pairing(ray, m) == fam.divisor(char).coefficient(
+                assert pairing(ray, m) == {
+                    d.character: d for d in fam.divisors}[char].coefficient(
                     ray.label)
 
 

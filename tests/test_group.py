@@ -49,10 +49,14 @@ def test_character_mismatched_groups_rejected():
     ((1,), (2, 2), "equal length"),
     ((1,), (0,), ">= 1"),
     ((0, 1), (2, -1), ">= 1"),
+    ((1.5,), (8,), "must be integers"),
+    ((True,), (2,), "must be integers"),
+    (("1",), (8,), "must be integers"),
+    ((1,), (8.0,), "must be integers"),
 ])
 def test_character_rejects_bad_orders(residues, orders, message):
-    # zip would drop the extra entries, r % 0 would raise ZeroDivisionError
-    # and r % -1 would give 0
+    # zip would drop the extra entries, r % 0 would raise ZeroDivisionError,
+    # r % -1 would give 0, 1.5 % 8 would keep 1.5 and True % 2 would give 1
     with pytest.raises(ValueError, match=message):
         Character(residues, orders)
 
@@ -177,11 +181,13 @@ def test_group_constructor_rejects_non_integers(orders, weights):
         GroupData(orders, weights)
 
 
-@pytest.mark.parametrize("bad", [4.7, 1.9, 3.2, True, Fraction(4)])
+@pytest.mark.parametrize("bad", [4.7, 1.9, 3.2, True, Fraction(4), "a"])
 def test_fan_and_divisor_constructors_reject_non_integers(g8, fan8, bad):
     # int() would read a cone index 4.7 as 4, an exponent 1.9 as 1 and a
     # ray label 3.2 as 3
     rays = [ray.vector for ray in fan8.rays]
+    with pytest.raises(ValueError, match="integers"):
+        Ray(bad, (1, 0, 0))
     with pytest.raises(ValueError, match="integer"):
         make_fan(fan8.lattice, rays, [(1, 2, bad)])
     with pytest.raises(ValueError, match="integers"):

@@ -328,6 +328,34 @@ def test_lattice_rejects_bad_bases():
         LatticeL(((Q(2), Q(0)), (Q(0), Q(1))))
 
 
+@pytest.mark.parametrize("bad", [0.1, True, False, "1/8", "1e200000000",
+                                 None])
+def test_vectors_reject_inexact_entries(fan8, bad):
+    # Fraction(0.1) would store 3602879701896397/36028797018963968,
+    # Fraction(True) 1 and Fraction("1e200000000") a 200-million-digit int
+    lattice = fan8.lattice
+    vector = (bad, 0, 0)
+    with pytest.raises(ValueError, match="int or Fraction"):
+        Ray(1, vector)
+    with pytest.raises(ValueError, match="int or Fraction"):
+        make_fan(lattice, [vector, (0, 1, 0), (0, 0, 1)], [(1, 2, 3)])
+    with pytest.raises(ValueError, match="int or Fraction"):
+        LatticeL((vector, (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(ValueError, match="int or Fraction"):
+        lattice.coordinates(vector)
+
+
+@pytest.mark.parametrize("vector", [(1, 0), (1, 0, 0, 0)])
+def test_rays_of_the_wrong_length_rejected(fan8, vector):
+    # validate_fan would raise IndexError on the short ray, and coordinates
+    # would ignore the fourth entry of the long one
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), vector]
+    with pytest.raises(ValueError, match="^every ray needs 3 coordinates$"):
+        make_fan(fan8.lattice, rays, [(1, 2, 3)])
+    with pytest.raises(ValueError, match="^length mismatch: 3 vs "):
+        fan8.lattice.coordinates(vector)
+
+
 def test_fan_rejects_duplicate_and_unknown_rays(g2):
     lat = build_lattice(g2)
     x, y = Ray(1, (Q(1), Q(0))), Ray(2, (Q(0), Q(1)))
