@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from operator import getitem
 from typing import NoReturn, Optional, Sequence
 
 from .family import (
@@ -222,6 +223,29 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+def _emit_per_ray(enumeration: NormalizedEnumeration) -> None:
+    """Write {"count": ..., "per_ray": [...]} byte for byte as _emit would,
+    one table at a time. json.dumps with an indent runs the pure-Python
+    encoder; here each cell's text is made once per (character, position)
+    and each row is one join. No list is empty: a valid fan has rays, and
+    every table holds the row of the maximal-shift family."""
+    write = sys.stdout.write
+    write(f'{{\n  "count": {enumeration.count},\n  "per_ray": [')
+    # a row sits at depth 4 of the payload and its cells at depth 5
+    head, sep, tail = "[\n" + " " * 10, ",\n" + " " * 10, "\n" + " " * 8 + "]"
+    for n, table in enumerate(enumeration.tables):
+        cells = [[json.dumps(str(q)) for q in v] for v in table.values]
+        rows = ",\n        ".join(
+            head + sep.join(map(getitem, cells, p)) + tail
+            for p in table.positions)
+        chars = json.dumps([c.to_json() for c in table.characters], indent=2)
+        write(("," if n else "")
+              + '\n    {\n      "ray": ' + json.dumps(f"E{table.ray_label}")
+              + ',\n      "characters": ' + chars.replace("\n", "\n      ")
+              + ',\n      "rows": [\n        ' + rows + "\n      ]\n    }")
+    write("\n  ]\n}\n")
+
+
 def _vec_str(vec) -> str:
     return "(" + ", ".join(str(x) for x in vec) + ")"
 
@@ -327,10 +351,7 @@ def cmd_enumerate(args) -> int:
         print(enumeration.count)
         return 0
     if args.per_ray:
-        _emit({
-            "count": enumeration.count,
-            "per_ray": [t.to_json() for t in enumeration.tables],
-        })
+        _emit_per_ray(enumeration)
         return 0
     for family in enumeration.sets(limit=args.limit):
         print(json.dumps(reductor_set_to_json(family)))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
-from operator import mul
+from operator import getitem, mul
 from typing import Iterator, Mapping, Optional
 
 from .exact import frac
@@ -177,18 +177,20 @@ def maximal_shift_family(fan: Fan, group: GroupData) -> ReductorSet:
 
 @dataclass(frozen=True)
 class PerRayTable:
-    """All admissible coefficient rows at one ray, in lexicographic order."""
+    """All admissible coefficient rows at one ray, in lexicographic order,
+    kept as positions: a row p gives the k-th character the coefficient
+    values[k][p[k]], where values[k] lists its candidates from low to high."""
 
     ray_label: int
     characters: tuple[Character, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+    values: tuple[tuple[Fraction, ...], ...]
+    positions: tuple[tuple[int, ...], ...]
 
-    def to_json(self) -> dict:
-        return {
-            "ray": f"E{self.ray_label}",
-            "characters": [c.to_json() for c in self.characters],
-            "rows": [[str(q) for q in row] for row in self.rows],
-        }
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rows as Fractions, made on first read."""
+        return tuple(tuple(map(getitem, self.values, p))
+                     for p in self.positions)
 
 
 def enumerate_per_ray(ray: Ray, group: GroupData) -> PerRayTable:
@@ -199,7 +201,7 @@ def enumerate_per_ray(ray: Ray, group: GroupData) -> PerRayTable:
     x_j from s to t, q_s + e_j - q_t >= 0 reads c_t <= c_s + b with
     b = low_s + e_j - low_t. The bounds are scaled by the common denominator
     D of the ray, and only the candidate values q_chi become Fractions. One
-    loop assigns the characters in order.
+    loop assigns the characters in order; each row is kept as its positions.
     """
     chars = group.characters()
     count = len(chars)
@@ -212,9 +214,9 @@ def enumerate_per_ray(ray: Ray, group: GroupData) -> PerRayTable:
              for t, cost in zip(row, costs)]
     if any(n % scale for n in spans + [b for _, _, b in edges]):
         raise ValueError(f"{ray.name}: the per-ray bounds are not congruent")
-    candidates = [[Fraction(low + k * scale, scale)
-                   for k in range(span // scale + 1)]
-                  for low, span in zip(lows, spans)]
+    candidates = tuple(tuple(Fraction(low + k * scale, scale)
+                             for k in range(span // scale + 1))
+                       for low, span in zip(lows, spans))
     # uppers[t] holds (s, b) for s < t: c_t <= c_s + b; lowers[s] holds
     # (t, b) for t < s: c_s >= c_t - b; a loop holds since costs are >= 0
     uppers: list[list[tuple[int, int]]] = [[] for _ in chars]
@@ -224,13 +226,13 @@ def enumerate_per_ray(ray: Ray, group: GroupData) -> PerRayTable:
             uppers[t].append((s, b // scale))
         elif t < s:
             lowers[s].append((t, b // scale))
-    rows: list[tuple[Fraction, ...]] = []
+    positions: list[tuple[int, ...]] = []
     c = [0] * count    # current position per character
     top = [0] * count  # largest admissible position given the earlier ones
     k = 0
     while k >= 0:
         if k == count:
-            rows.append(tuple([cand[i] for cand, i in zip(candidates, c)]))
+            positions.append(tuple(c))
         else:
             lo, hi = 0, len(candidates[k]) - 1
             for t, b in lowers[k]:
@@ -250,7 +252,8 @@ def enumerate_per_ray(ray: Ray, group: GroupData) -> PerRayTable:
         if k >= 0:
             c[k] += 1
             k += 1
-    return PerRayTable(ray.label, tuple(chars), tuple(rows))
+    return PerRayTable(ray.label, tuple(chars), candidates,
+                       tuple(positions))
 
 
 @dataclass(frozen=True)
@@ -263,19 +266,23 @@ class NormalizedEnumeration:
 
     def sets(self, limit: Optional[int] = None) -> Iterator[ReductorSet]:
         chars = self.group.characters()
-        # table positions in increasing ray label, the order of entries
+        # tables in increasing ray label, the order of entries;
+        # entries[k][c][i] is the entry (label, q) of the k-th of them for
+        # the c-th character at position i, or None when q is 0
         order = sorted(range(len(self.tables)),
                        key=lambda k: self.tables[k].ray_label)
-        labels = [self.tables[k].ray_label for k in order]
-        combos = itertools.product(*(t.rows for t in self.tables))
+        entries = [[tuple((t.ray_label, q) if q else None for q in v)
+                    for v in t.values]
+                   for t in (self.tables[k] for k in order)]
+        combos = itertools.product(*(t.positions for t in self.tables))
         if limit is not None:
             combos = itertools.islice(combos, max(limit, 0))
         for combo in combos:
             rows = [combo[k] for k in order]
             yield ReductorSet(tuple(
                 GWeilDivisor._trusted(char, tuple(
-                    (label, row[c]) for label, row in zip(labels, rows)
-                    if row[c]))
+                    e for cells, p in zip(entries, rows)
+                    if (e := cells[c][p[c]])))
                 for c, char in enumerate(chars)
             ))
 
@@ -283,7 +290,7 @@ class NormalizedEnumeration:
 def enumerate_normalized(fan: Fan, group: GroupData) -> NormalizedEnumeration:
     """Complete classification: Cartesian product of the per-ray tables."""
     tables = tuple(enumerate_per_ray(ray, group) for ray in fan.rays)
-    count = prod(len(t.rows) for t in tables)
+    count = prod(len(t.positions) for t in tables)
     return NormalizedEnumeration(group, tables, count)
 
 

@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
+from operator import mul
 from typing import Optional, Sequence
 
 
@@ -178,8 +179,10 @@ class GroupData:
         """Character of the Laurent monomial with exponent m."""
         if len(m) != self.dim:
             raise ValueError(f"exponent must have length {self.dim}")
+        if not {int}.issuperset(map(type, m)):  # no bool, no float
+            raise ValueError(f"exponent entries must be ints, not {m!r}")
         return Character._reduced(
-            tuple(sum(w * e for w, e in zip(row, m)) % d
+            tuple(sum(map(mul, row, m)) % d
                   for row, d in zip(self.weights, self.orders)),
             self.orders,
         )

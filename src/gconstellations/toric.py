@@ -217,6 +217,9 @@ def pairing(ray: Ray, m: Sequence) -> Fraction:
     scale, ints = ray.scaled
     if len(m) != len(ints):
         raise ValueError(f"length mismatch: {len(ints)} vs {len(m)}")
+    if not {int, Fraction}.issuperset(map(type, m)):
+        raise ValueError(f"exponent entries must be ints or Fractions, "
+                         f"not {m!r}")
     return Fraction(sum(map(mul, ints, m)), scale)
 
 

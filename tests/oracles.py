@@ -114,15 +114,18 @@ def enumerate_per_ray_dfs(ray: Ray, group: GroupData) -> PerRayTable:
         for target, cost in zip(row, ray.vector):
             pending[max(i, target)].append((i, target, cost))
 
-    rows: list[tuple[Fraction, ...]] = []
+    # each row is kept as the index of each value in its candidate list
+    rows: list[tuple[int, ...]] = []
     assignment: list[Fraction] = [Fraction(0)] * count
+    indices: list[int] = [0] * count
 
     def extend(position: int) -> None:
         if position == count:
-            rows.append(tuple(assignment))
+            rows.append(tuple(indices))
             return
-        for value in candidates[position]:
+        for index, value in enumerate(candidates[position]):
             assignment[position] = value
+            indices[position] = index
             if all(
                 assignment[s] + cost - assignment[t] >= 0
                 for s, t, cost in pending[position]
@@ -130,7 +133,8 @@ def enumerate_per_ray_dfs(ray: Ray, group: GroupData) -> PerRayTable:
                 extend(position + 1)
 
     extend(0)
-    return PerRayTable(ray.label, tuple(chars), tuple(rows))
+    return PerRayTable(ray.label, tuple(chars),
+                       tuple(map(tuple, candidates)), tuple(rows))
 
 
 def shortest_paths_fraction(group: GroupData, costs: Sequence[Fraction]

@@ -1,26 +1,40 @@
 """End-to-end runs of the gcon command line through cli.main."""
 
+import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
 
 import gconstellations
 from gconstellations import (
     GWeilDivisor,
+    NormalizedEnumeration,
     canonical_family,
+    enumerate_normalized,
+    enumerate_per_ray,
     lambda_shift,
     maximal_shift_family,
     reductor_set_to_json,
 )
+from gconstellations import cli
 from gconstellations.cli import load_problem, main
-from strategies import principal_divisor
+from strategies import (
+    PROPERTIES,
+    group_and_ray,
+    principal_divisor,
+    shortest_paths,
+)
 
-PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+ROOT = Path(__file__).resolve().parent.parent
+PROBLEMS = ROOT / "problems"
 RUNNING = str(PROBLEMS / "c8_125.json")
 
 
@@ -187,23 +201,97 @@ def test_enumerate_rejects_negative_limit(capsys):
     assert "argument error" in payload["detail"]
 
 
-def test_enumerate_into_closed_pipe():
-    # like `gcon enumerate ... | head -1`: the reader leaves after one line
+def into_closed_pipe(read, *argv):
+    """Run `gcon <argv>` into a pipe, take read(stdout), close the pipe
+    early, and return what was read, the exit code and stderr."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(gconstellations.__file__).parent.parent)
     proc = subprocess.Popen(
         [sys.executable, "-c",
          "from gconstellations.cli import console_main; console_main()",
-         "enumerate", "--input", RUNNING],
+         *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
-    first = proc.stdout.readline()
+    head = read(proc.stdout)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait(timeout=60) == 0
+    return head, proc.wait(timeout=60), err
+
+
+def test_enumerate_into_closed_pipe():
+    # like `gcon enumerate ... | head -1`: the reader leaves after one line
+    first, code, err = into_closed_pipe(
+        lambda out: out.readline(), "enumerate", "--input", RUNNING)
+    assert code == 0
     assert err == b""
     assert len(json.loads(first)["divisors"]) == 8
+
+
+def crepant_chain_file(tmp_path, order):
+    """The minimal resolution of 1/order(1, order-1), written by the
+    benchmark's problem generator."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    path = tmp_path / f"a{order}.json"
+    gen.write_problem(
+        gen.crepant_chain(gen.Group((order,), ((1, order - 1),))), str(path))
+    return str(path)
+
+
+def test_per_ray_into_closed_pipe(tmp_path):
+    # like `gcon enumerate --per-ray ... | head -c 100`: the 1/13(1,12)
+    # tables take about 2 MB, far more than a pipe holds
+    path = crepant_chain_file(tmp_path, 13)
+    head, code, err = into_closed_pipe(
+        lambda out: out.read(100), "enumerate", "--input", path, "--per-ray")
+    assert code == 0
+    assert err == b""
+    assert head.startswith(b'{\n  "count": ')
+
+
+@PROPERTIES
+@given(group_and_ray())
+def test_per_ray_writer_matches_json_dumps(case):
+    group, ray = case
+    # keep the tables small, as test_cayley does: wide grids such as
+    # 1/11(2,0) at (1, 0) have hundreds of thousands of rows
+    shifts = shortest_paths(group, ray.scaled)
+    assume(sum(shifts[i] + shifts[j] for i, j in enumerate(group.inverses))
+           <= 40)
+    table = enumerate_per_ray(ray, group)
+    # a second copy of the table covers the separator between tables
+    enumeration = NormalizedEnumeration(
+        group, (table, table), len(table.positions) ** 2)
+    payload = {
+        "count": enumeration.count,
+        "per_ray": [{
+            "ray": f"E{t.ray_label}",
+            "characters": [c.to_json() for c in t.characters],
+            "rows": [[str(q) for q in row] for row in t.rows],
+        } for t in enumeration.tables],
+    }
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._emit_per_ray(enumeration)
+    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("mode", [("--count-only",), ("--per-ray",),
+                                  ("--limit", "100")])
+def test_enumerate_never_builds_fraction_rows(capsys, monkeypatch, mode):
+    made = []
+
+    def recording(fan, group):
+        made.append(enumerate_normalized(fan, group))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "enumerate_normalized", recording)
+    code, out, _ = run(capsys, "enumerate", "--input", RUNNING, *mode)
+    assert code == 0 and out and len(made) == 1
+    assert not any("rows" in vars(t) for t in made[0].tables)
 
 
 def test_enumerate_full_stream_small(capsys):

@@ -246,6 +246,25 @@ def test_per_ray_rows_sorted_and_deduplicated(g8, fan8):
         (k,) for k in range(8)]
 
 
+def test_per_ray_rows_are_positions_into_values(g8, fan8):
+    for ray in fan8.rays:
+        table = enumerate_per_ray(ray, g8)
+        assert all(list(v) == sorted(set(v)) for v in table.values)
+        assert all(0 <= i < len(v) for p in table.positions
+                   for v, i in zip(table.values, p))
+        assert "rows" not in vars(table)
+        assert table.rows == tuple(
+            tuple(v[i] for v, i in zip(table.values, p))
+            for p in table.positions)
+        assert table.rows is table.rows
+
+
+def test_sets_read_positions_not_rows(g8, fan8):
+    enum = enumerate_normalized(fan8, g8)
+    assert len(list(enum.sets(limit=100))) == 100
+    assert not any("rows" in vars(t) for t in enum.tables)
+
+
 def test_per_ray_reflection_closure(g8, fan8):
     # reflection acts rowwise; every table must be closed under it
     chars = g8.characters()

@@ -99,6 +99,12 @@ def test_weight_map():
         g.weight((1, 0))
 
 
+@pytest.mark.parametrize("entry", [0.5, 1.0, True, Fraction(1), "1"])
+def test_weight_rejects_non_int_exponents(entry):
+    with pytest.raises(ValueError):
+        GroupData.cyclic(8, (1, 2, 5)).weight((entry, 0, 0))
+
+
 def test_generator_characters():
     g = GroupData.cyclic(8, (1, 2, 5))
     assert [g.generator_character(j).residues for j in range(3)] == [

@@ -128,8 +128,14 @@ def test_pairing(fan8):
 
 def test_pairing_rejects_float_exponent(fan8):
     # a float has no exact value, so no exact valuation
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         pairing(fan8.rays[3], (0.5, 0, 0))
+
+
+def test_pairing_rejects_bool_exponent(fan8):
+    # True would count as 1
+    with pytest.raises(ValueError):
+        pairing(fan8.rays[3], (True, 0, 0))
 
 
 def test_dual_basis_goldens(fan8):
