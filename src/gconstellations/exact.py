@@ -36,13 +36,6 @@ def frac(q: RationalLike) -> Fraction:
     return Fraction(q.numerator % q.denominator, q.denominator)
 
 
-def dot(u: Sequence[Union[int, Fraction]],
-        v: Sequence[Union[int, Fraction]]) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
 def det_inverse(
     matrix: Sequence[Sequence[RationalLike]],
 ) -> tuple[Fraction, Optional[tuple[tuple[Fraction, ...], ...]]]:

@@ -166,10 +166,10 @@ def chart_monomial(divisor: GWeilDivisor, k: int, fan: Fan,
 
     It is integral and of the divisor's weight exactly when the congruence
     invariant holds on the cone's rays; otherwise CongruenceViolationError.
-    A k outside 1..len(fan.cones) raises ValueError.
+    A k that is not an int in 1..len(fan.cones) raises ValueError.
     """
-    if not 1 <= k <= len(fan.cones):
-        raise ValueError(f"cone index {k} out of range 1..{len(fan.cones)}")
+    if type(k) is not int or not 1 <= k <= len(fan.cones):
+        raise ValueError(f"cone index {k!r} out of range 1..{len(fan.cones)}")
     cone = fan.cones[k - 1]
     exponent = chart_exponent(cone, fan.lattice, [
         divisor.coefficient(ray.label) for ray in cone.rays

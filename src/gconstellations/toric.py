@@ -22,7 +22,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from . import exact
-from .exact import dot, frac, hermite_normal_form, rational
+from .exact import frac, hermite_normal_form, rational
 from .group import GroupData
 
 Vector = tuple[Fraction, ...]
@@ -54,6 +54,10 @@ class LatticeL:
                 "basis does not generate an overlattice of the dual of Z^n "
                 f"(1/|det| = {index} is not an integer)"
             )
+        # L contains Z^n exactly when the unit vectors' coordinates are ints
+        if any(x.denominator != 1 for row in inverse for x in row):
+            raise ValueError("basis does not generate an overlattice of the "
+                             "dual of Z^n (the inverse basis is not integral)")
         object.__setattr__(self, "_inverse", inverse)
         object.__setattr__(self, "_index", int(index))
 
@@ -292,8 +296,8 @@ def x_valuation_on_X(lattice: LatticeL, axis: int) -> Fraction:
     lattice; values below 1 witness ramification of the quotient map over
     that hyperplane.
     """
-    if not 1 <= axis <= lattice.dim:
-        raise ValueError(f"axis must be in 1..{lattice.dim}")
+    if type(axis) is not int or not 1 <= axis <= lattice.dim:
+        raise ValueError(f"axis {axis!r} must be an int in 1..{lattice.dim}")
     row = lattice._inverse[axis - 1]  # type: ignore[attr-defined]
     # c * row is integral exactly for c in (lcm of denominators / gcd of
     # numerators) * Z
@@ -382,11 +386,13 @@ def validate_fan(fan: Fan) -> FanValidationReport:
         for (a, i), (b, j) in itertools.combinations(sharing, 2):
             # b's apex has a positive coordinate along a's apex: same side
             column = [row[i] for row in fan.cones[a - 1].det_inverse[1]]
-            if dot(fan.cones[b - 1].rays[j].vector, column) > 0:
+            if sum(map(mul, fan.cones[b - 1].rays[j].vector, column)) > 0:
                 violations.add((a, b))
     face_violations = sorted(violations)
 
-    crepant = {r.vector for r in fan.rays} == set(junior_simplex(lattice))
+    # on a passing fan each junior point is a sum of the rays of its basic
+    # cone with int weights >= 0 summing to 1, so the rays are all of them
+    crepant = not (ray_errors or any(discrepancy(r.vector) for r in fan.rays))
     coverage: Optional[bool]
     if ray_errors or nonbasic or face_violations:
         coverage = None

@@ -1,10 +1,12 @@
 """Brute-force reference helpers that only the tests use.
 
-`mat_mul` multiplies exact matrices to check inverses; `monomials_of_weight`
-lists every monomial of a given weight in a bounded grid, the oracle for
-the maximal-shift values; `representative_monomial` finds one monomial of
-each weight by breadth-first search, the oracle for the fractional
-valuations (the fractional parts of the maximal shifts);
+`dot` and `mat_mul` multiply exact vectors and matrices, the second to
+check inverses; `crepant_by_junior_set` compares the rays with every junior
+point of L / Z^n, the oracle for `FanValidationReport.crepant`;
+`monomials_of_weight` lists every monomial of a given weight in a bounded
+grid, the oracle for the maximal-shift values; `representative_monomial`
+finds one monomial of each weight by breadth-first search, the oracle for
+the fractional valuations (the fractional parts of the maximal shifts);
 `enumerate_per_ray_dfs` is the recursive per-ray search, the oracle for
 `enumerate_per_ray`.
 
@@ -16,7 +18,7 @@ scaled integers: `shortest_paths_fraction` (Dijkstra on Fraction costs),
 `lambda_shift`, `reflect` and `NormalizedEnumeration.sets`. They build
 divisors through the validating constructors and use only Fraction
 arithmetic. The chart layer has three more: `pairing_fraction` (the
-`exact.dot` of a ray's Fraction vector), `chart_exponent_fraction` (the
+`dot` of a ray's Fraction vector), `chart_exponent_fraction` (the
 Fraction sum of the columns of the inverse ray matrix) and
 `quiver_fraction` (cone coordinates q_s + e_j - q_t read from the set's
 coefficients), the oracles for `pairing`, `chart_exponent` and `quiver`.
@@ -44,9 +46,21 @@ from gconstellations import (
     Ray,
     ReductorReport,
     ReductorSet,
+    junior_simplex,
 )
-from gconstellations.exact import det_inverse, dot
+from gconstellations.exact import det_inverse
 from gconstellations.family import QuiverArrow
+
+
+def dot(u: Sequence, v: Sequence) -> Fraction:
+    """The exact dot product of two equally long vectors."""
+    return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
+
+
+def crepant_by_junior_set(fan: Fan) -> bool:
+    """Whether the ray vectors are exactly the junior points of L / Z^n,
+    all |G| points of which are listed."""
+    return {r.vector for r in fan.rays} == set(junior_simplex(fan.lattice))
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -20,12 +21,16 @@ from gconstellations import (
     canonical_family,
     enumerate_normalized,
     enumerate_per_ray,
+    junior_simplex,
     lambda_shift,
+    make_fan,
     maximal_shift_family,
     reductor_set_to_json,
+    validate_fan,
 )
-from gconstellations import cli
+from gconstellations import cli, toric
 from gconstellations.cli import load_problem, main
+from oracles import crepant_by_junior_set
 from strategies import (
     PROPERTIES,
     group_and_ray,
@@ -113,6 +118,93 @@ def test_info_non_crepant_warns(capsys):
     assert "crepant: false" in out
     assert "coverage verified" in out
     assert "warning:" not in err
+
+
+def never_list_junior_points(monkeypatch):
+    """Make any listing of L / Z^n during fan validation fail the test."""
+    def refuse(lattice):
+        raise AssertionError("validate_fan listed the junior points")
+    monkeypatch.setattr(toric, "junior_simplex", refuse)
+
+
+@pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_loading_never_lists_junior_points(capsys, monkeypatch, path):
+    never_list_junior_points(monkeypatch)
+    load_problem(str(path))
+    code, out, _ = run(capsys, "enumerate", "--input", str(path),
+                       "--count-only")
+    assert code == 0
+    assert int(out) > 0
+
+
+def test_info_lists_junior_points_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(lattice):
+        calls.append(lattice)
+        return junior_simplex(lattice)
+    monkeypatch.setattr(toric, "junior_simplex", counted)
+    monkeypatch.setattr(cli, "junior_simplex", counted)
+    code, out, _ = run(capsys, "info", "--input", RUNNING)
+    assert code == 0
+    assert "junior points: 7" in out
+    assert len(calls) == 1
+
+
+def test_one_cone_problem_of_huge_order_fails_fast(tmp_path, capsys,
+                                                   monkeypatch):
+    # 1/200000(1,1,199998) with the unit rays and the orthant cone: the
+    # identity map is crepant, but the cone is not basic
+    never_list_junior_points(monkeypatch)
+    path = tmp_path / "c200000_one_cone.json"
+    path.write_text(json.dumps({
+        "group": {"cyclic": {"order": 200000, "weights": [1, 1, 199998]}},
+        "fan": {"rays": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                "cones": [[1, 2, 3]]},
+    }))
+    code, out, _ = run(capsys, "enumerate", "--input", str(path),
+                       "--count-only")
+    assert code == 1
+    report = json.loads(out)["report"]
+    assert report["crepant"] is True
+    assert report["nonbasic_cones"] == [1]
+
+
+def perfbench_gen():
+    """The benchmark's problem generator, which the package does not
+    import, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+@pytest.mark.parametrize("orders, weights", [
+    ((6,), ((1, 2, 3),)),
+    ((7,), ((1, 2, 4),)),
+    ((8,), ((1, 2, 5),)),
+    ((2, 2), ((1, 0, 1), (0, 1, 1))),
+], ids=["1/6(1,2,3)", "1/7(1,2,4)", "1/8(1,2,5)", "Z2xZ2"])
+def test_insertion_fans_match_the_junior_set_oracle(tmp_path, orders,
+                                                   weights):
+    gen = perfbench_gen()
+    group = gen.Group(orders, weights)
+    for seed in range(3):
+        path = tmp_path / f"seed{seed}.json"
+        gen.write_problem(gen.crepant_fan_sl3(group, random.Random(seed)),
+                          str(path))
+        _, fan, report = load_problem(str(path))
+        assert report.crepant is crepant_by_junior_set(fan) is True
+    # the one-cone identity fan, where the verdicts differ: the identity
+    # map is crepant, though its rays are not all the junior points
+    units = [r.vector for r in fan.rays[:3]]
+    one_cone = make_fan(fan.lattice, units, [(1, 2, 3)])
+    report = validate_fan(one_cone)
+    assert not report.passed
+    assert report.crepant is True
+    assert crepant_by_junior_set(one_cone) is False
 
 
 # family tables ------------------------------------------------------------
@@ -231,10 +323,7 @@ def test_enumerate_into_closed_pipe():
 def crepant_chain_file(tmp_path, order):
     """The minimal resolution of 1/order(1, order-1), written by the
     benchmark's problem generator."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = perfbench_gen()
     path = tmp_path / f"a{order}.json"
     gen.write_problem(
         gen.crepant_chain(gen.Group((order,), ((1, order - 1),))), str(path))

@@ -7,7 +7,6 @@ import pytest
 
 from gconstellations.exact import (
     det_inverse,
-    dot,
     frac,
     hermite_normal_form,
 )
@@ -33,17 +32,6 @@ def test_frac_idempotent_random():
         assert 0 <= f < 1
         assert (q - f).denominator == 1
         assert frac(f) == f
-
-
-def test_dot():
-    assert dot((1, 2, 3), (4, 5, 6)) == 32
-    assert dot((Fraction(1, 2), Fraction(1, 3)), (2, 3)) == 2
-    assert type(dot((1, 2, 3), (4, 5, 6))) is Fraction
-    assert type(dot((Fraction(1, 2),), (2,))) is Fraction
-    assert type(dot((), ())) is Fraction
-    # zip would drop the extra entry and return 5
-    with pytest.raises(ValueError, match="length mismatch: 2 vs 3"):
-        dot((1, 2), (1, 2, 3))
 
 
 def test_det_small_goldens():

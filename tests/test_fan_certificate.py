@@ -10,6 +10,7 @@ import pytest
 from gconstellations import build_lattice, make_fan, validate_fan
 from gconstellations.cli import load_problem
 from gconstellations.exact import det_inverse
+from oracles import crepant_by_junior_set
 from pairwise_oracle import pairwise_face_violations
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -97,6 +98,7 @@ def test_certificate_matches_pairwise_oracle(path):
         assert report.passed == expected, (kinds, edited)
         if report.passed:
             assert report.coverage is True
+            assert report.crepant == crepant_by_junior_set(fan)
         verdicts[expected] += 1
     # the sample exercises both verdicts
     assert verdicts[True] and verdicts[False]

@@ -163,6 +163,15 @@ def test_chart_monomial_rejects_cone_index_out_of_range(g8, fan8, k):
         chart_monomial(d, k, fan8, g8)
 
 
+@pytest.mark.parametrize("k", [True, False, 1.0, Q(1), "1", None])
+def test_chart_monomial_rejects_non_int_cone_index(g8, fan8, k):
+    # True would pick cone 1, 1.0 would raise TypeError on the index
+    d = GWeilDivisor.from_map(chi(g8, 6), {4: Q(7, 4), 5: Q(1, 2),
+                                           7: Q(-1, 4)})
+    with pytest.raises(ValueError, match=r"^cone index .* out of range"):
+        chart_monomial(d, k, fan8, g8)
+
+
 def test_cartier_round_trip(g8, fan8):
     d = GWeilDivisor.from_map(chi(g8, 3), {4: Q(3, 8), 5: Q(6, 8),
                                            6: Q(4, 8), 7: Q(7, 8)})

@@ -250,6 +250,13 @@ def test_x_valuation_goldens(g8, g3, g4):
         x_valuation_on_X(lat8, 4)
 
 
+@pytest.mark.parametrize("axis", [True, False, 1.0, Q(1), "1", None])
+def test_x_valuation_rejects_non_int_axis(g8, axis):
+    # True would read axis 1, 1.0 would raise TypeError on the index
+    with pytest.raises(ValueError, match="must be an int in 1..3"):
+        x_valuation_on_X(build_lattice(g8), axis)
+
+
 def test_validate_fan_running_example(fan8):
     report = validate_fan(fan8)
     assert report.passed
@@ -332,6 +339,12 @@ def test_lattice_rejects_bad_bases():
     with pytest.raises(ValueError,
                        match=r"1/\|det\| = 1/2 is not an integer"):
         LatticeL(((Q(2), Q(0)), (Q(0), Q(1))))
+
+
+def test_lattice_rejects_basis_missing_unit_vectors():
+    # index 1, but (0, 1) is not an integer combination of the rows
+    with pytest.raises(ValueError, match="inverse basis is not integral"):
+        LatticeL(((Q(1, 2), Q(0)), (Q(0), Q(2))))
 
 
 @pytest.mark.parametrize("bad", [0.1, True, False, "1/8", "1e200000000",
