@@ -149,8 +149,6 @@ def _parse_group(obj) -> tuple[GroupData, LatticeL]:
         else:
             raise InputError("group must be given as 'cyclic' or 'abelian'")
         return group, build_lattice(group)
-    except InputError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid group: {exc}") from exc
 
@@ -268,8 +266,7 @@ def _set_table(family: ReductorSet, fan: Fan) -> str:
     return "\n".join(lines)
 
 
-def cmd_info(args) -> int:
-    group, fan, report = load_problem(args.input)
+def cmd_info(args, group: GroupData, fan: Fan, report) -> int:
     lattice = fan.lattice
     junior = junior_simplex(lattice)
     valuations = [
@@ -326,9 +323,8 @@ def cmd_info(args) -> int:
     return 0
 
 
-def _cmd_family(args, builder) -> int:
-    group, fan, _ = load_problem(args.input)
-    family = builder(fan, group)
+def cmd_family(args, group: GroupData, fan: Fan, _) -> int:
+    family = args.builder(fan, group)
     if args.json:
         _emit(reductor_set_to_json(family))
     else:
@@ -336,16 +332,7 @@ def _cmd_family(args, builder) -> int:
     return 0
 
 
-def cmd_canonical(args) -> int:
-    return _cmd_family(args, canonical_family)
-
-
-def cmd_maxshift(args) -> int:
-    return _cmd_family(args, maximal_shift_family)
-
-
-def cmd_enumerate(args) -> int:
-    group, fan, _ = load_problem(args.input)
+def cmd_enumerate(args, group: GroupData, fan: Fan, _) -> int:
     enumeration: NormalizedEnumeration = enumerate_normalized(fan, group)
     if args.count_only:
         print(enumeration.count)
@@ -358,8 +345,7 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    group, fan, _ = load_problem(args.input)
+def cmd_check(args, group: GroupData, fan: Fan, _) -> int:
     family = _load_set(args.set, fan, group)
     reductor = check_reductor(family, fan, group)
     bounds = bounds_check(family, fan, group)
@@ -368,18 +354,14 @@ def cmd_check(args) -> int:
         "bounds": bounds.to_json(),
         "normalized": family.is_normalized,
     }
-    # a non-normalized set only has to satisfy the reductor condition; the
-    # shift envelope applies to normalized representatives
-    failed = not reductor.passed or (
-        family.is_normalized and not bounds.passed
-    )
-    payload["passed"] = not failed
+    # the reductor condition implies the shift envelope (family.py), so the
+    # bounds report is diagnostic only
+    payload["passed"] = reductor.passed
     _emit(payload)
-    return 2 if failed else 0
+    return 0 if reductor.passed else 2
 
 
-def cmd_piece(args) -> int:
-    group, fan, _ = load_problem(args.input)
+def cmd_piece(args, group: GroupData, fan: Fan, _) -> int:
     family = _load_set(args.set, fan, group)
     _require_reductor(family, fan, group)
     cone = _pick_cone(fan, args.cone)
@@ -387,8 +369,7 @@ def cmd_piece(args) -> int:
     return 0
 
 
-def cmd_quiver(args) -> int:
-    group, fan, _ = load_problem(args.input)
+def cmd_quiver(args, group: GroupData, fan: Fan, _) -> int:
     family = _load_set(args.set, fan, group)
     _require_reductor(family, fan, group)
     cone = _pick_cone(fan, args.cone)
@@ -400,8 +381,7 @@ def cmd_quiver(args) -> int:
     return 0
 
 
-def cmd_cartier(args) -> int:
-    group, fan, _ = load_problem(args.input)
+def cmd_cartier(args, group: GroupData, fan: Fan, _) -> int:
     character = _parse_char_arg(args.char, group)
     obj = _load_json(args.coeffs)
     try:
@@ -426,8 +406,7 @@ def cmd_cartier(args) -> int:
     return 0
 
 
-def cmd_shift(args) -> int:
-    group, fan, _ = load_problem(args.input)
+def cmd_shift(args, group: GroupData, fan: Fan, _) -> int:
     family = _load_set(args.set, fan, group)
     lam = _parse_char_arg(args.lam, group)
     _require_reductor(family, fan, group)
@@ -437,16 +416,14 @@ def cmd_shift(args) -> int:
     return 0
 
 
-def cmd_reflect(args) -> int:
-    group, fan, _ = load_problem(args.input)
+def cmd_reflect(args, group: GroupData, fan: Fan, _) -> int:
     family = _load_set(args.set, fan, group)
     _require_reductor(family, fan, group)
     _emit(reductor_set_to_json(reflect(family)))
     return 0
 
 
-def cmd_equiv(args) -> int:
-    group, fan, _ = load_problem(args.input)
+def cmd_equiv(args, group: GroupData, fan: Fan, _) -> int:
     if len(args.set) != 2:
         raise InputError("equiv needs exactly two --set files")
     first = _load_set(args.set[0], fan, group)
@@ -476,19 +453,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("info", cmd_info, help="lattice, junior simplex, ramification")
     p.add_argument("--json", action="store_true")
 
-    p = add("canonical", cmd_canonical,
-            help="fractional-valuation family")
+    p = add("canonical", cmd_family, help="fractional-valuation family")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(builder=canonical_family)
 
-    p = add("maxshift", cmd_maxshift, help="maximal-shift family")
+    p = add("maxshift", cmd_family, help="maximal-shift family")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(builder=maximal_shift_family)
 
     p = add("enumerate", cmd_enumerate,
             help="stream all normalized reductor sets")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--per-ray", action="store_true", dest="per_ray")
     mode.add_argument("--count-only", action="store_true", dest="count_only")
-    p.add_argument("--limit", type=non_negative_int, default=None)
+    # --limit bounds the JSONL stream, the mode without either flag
+    mode.add_argument("--limit", type=non_negative_int, default=None)
 
     p = add("check", cmd_check, help="reductor condition + shift bounds")
     p.add_argument("--set", required=True)
@@ -526,7 +505,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         try:
-            code = args.func(args)
+            # a wrapper set on cli.load_problem must see this one load
+            code = args.func(args, *load_problem(args.input))
         except CongruenceViolationError as exc:
             # a chart exponent that is not integral or not of its weight
             raise MathCheckError(str(exc)) from exc

@@ -15,9 +15,7 @@ eliminating the same matrix again.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Union
-
-RationalLike = Union[int, str, Fraction]
+from typing import Optional, Sequence
 
 
 def rational(x, what: str) -> Fraction:
@@ -29,21 +27,21 @@ def rational(x, what: str) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
-def frac(q: RationalLike) -> Fraction:
+def frac(q: Fraction) -> Fraction:
     """Fractional part of q, always in [0, 1); q - frac(q) is an integer."""
-    q = Fraction(q)
+    q = rational(q, "frac argument")
     # Python's % on the numerator is already the positive remainder
     return Fraction(q.numerator % q.denominator, q.denominator)
 
 
 def det_inverse(
-    matrix: Sequence[Sequence[RationalLike]],
+    matrix: Sequence[Sequence[Fraction]],
 ) -> tuple[Fraction, Optional[tuple[tuple[Fraction, ...], ...]]]:
     """Exact determinant and inverse from one Gauss-Jordan elimination.
 
     The inverse is None exactly when the determinant is zero.
     """
-    rows = [[Fraction(x) for x in row] for row in matrix]
+    rows = [[rational(x, "matrix entry") for x in row] for row in matrix]
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise ValueError("matrix must be square and non-empty")
@@ -74,7 +72,10 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     the row index grows, and entries above each pivot reduced into [0, pivot).
     The output rows generate the same integer row lattice as the input.
     """
-    m = [[int(x) for x in row] for row in rows]
+    # int() would truncate 1.9 and read True as 1
+    if any(type(x) is not int for row in rows for x in row):
+        raise ValueError("Hermite normal form needs int entries")
+    m = [list(row) for row in rows]
     if not m:
         return []
     ncols = len(m[0])

@@ -286,7 +286,7 @@ def junior_simplex(lattice: LatticeL) -> tuple[Vector, ...]:
 
 def discrepancy(v: Sequence) -> Fraction:
     """Coordinate sum minus 1; zero exactly on junior points."""
-    return sum((Fraction(x) for x in v), Fraction(0)) - 1
+    return sum((rational(x, "coordinates") for x in v), Fraction(0)) - 1
 
 
 def x_valuation_on_X(lattice: LatticeL, axis: int) -> Fraction:

@@ -293,6 +293,55 @@ def test_enumerate_rejects_negative_limit(capsys):
     assert "argument error" in payload["detail"]
 
 
+@pytest.mark.parametrize("mode", ["--count-only", "--per-ray"])
+def test_enumerate_limit_only_bounds_the_stream(capsys, mode):
+    # --limit 0 too: the value is given, so it would be silently ignored
+    for limit in ("3", "0"):
+        code, out, _ = run(capsys, "enumerate", "--input", RUNNING,
+                           mode, "--limit", limit)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"] == "invalid input"
+        assert "argument error" in payload["detail"]
+
+
+def test_every_command_loads_the_problem_once(capsys, monkeypatch, tmp_path):
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return load_problem(path)
+
+    monkeypatch.setattr(cli, "load_problem", counted)
+    code, out, _ = run(capsys, "canonical", "--input", RUNNING, "--json")
+    assert code == 0
+    family = tmp_path / "canonical.json"
+    family.write_text(out)
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps({"E4": "7/4", "E5": "1/2", "E7": "-1/4"}))
+    given_set = ("--set", str(family))
+    commands = [
+        ("info",), ("canonical",), ("maxshift", "--json"),
+        ("enumerate", "--count-only"), ("check", *given_set),
+        ("piece", "--cone", "1", *given_set),
+        ("quiver", "--cone", "1", *given_set),
+        ("cartier", "--char", "6", "--coeffs", str(coeffs)),
+        ("shift", "--lambda", "3", *given_set),
+        ("reflect", *given_set), ("equiv", *given_set, *given_set),
+    ]
+    assert len({argv[0] for argv in commands}) == 11
+    for command, *rest in commands:
+        calls.clear()
+        code, out, _ = run(capsys, command, "--input", RUNNING, *rest)
+        assert code == 0 and out, command
+        assert calls == [RUNNING], command
+    # an argument error stops before the load
+    calls.clear()
+    code, _, _ = run(capsys, "piece", "--input", RUNNING, "--cone", "x",
+                     *given_set)
+    assert code == 1 and calls == []
+
+
 def into_closed_pipe(read, *argv):
     """Run `gcon <argv>` into a pipe, take read(stdout), close the pipe
     early, and return what was read, the exit code and stderr."""

@@ -10,6 +10,7 @@ from gconstellations.exact import (
     frac,
     hermite_normal_form,
 )
+from gconstellations.toric import discrepancy
 from oracles import mat_mul
 
 
@@ -89,6 +90,20 @@ def test_hermite_normal_form_golden():
 def test_hermite_normal_form_rejects_ragged_rows(rows):
     with pytest.raises(ValueError, match="ragged"):
         hermite_normal_form(rows)
+
+
+@pytest.mark.parametrize("helper", [
+    frac,
+    lambda x: det_inverse([[x]]),
+    lambda x: hermite_normal_form([[x, 0], [0, 1]]),
+    lambda x: discrepancy((x, Fraction(1, 2))),
+], ids=["frac", "det_inverse", "hermite_normal_form", "discrepancy"])
+@pytest.mark.parametrize("bad", [0.1, 1.9, True, "1/8"])
+def test_helpers_reject_inexact_entries(helper, bad):
+    # Fraction() and int() would read a float at its binary value or
+    # truncated, True as 1 and a string as a rational
+    with pytest.raises(ValueError):
+        helper(bad)
 
 
 def test_hermite_normal_form_properties():

@@ -37,7 +37,7 @@ from gconstellations import (
 )
 from gconstellations.cli import load_problem
 from oracles import monomials_of_weight
-from strategies import principal_divisor, shortest_paths
+from strategies import PROPERTIES, principal_divisor, shortest_paths
 from test_scaled import PERTURBATIONS, SHORT, _outcome, perturbed_sets
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -457,6 +457,28 @@ def test_bounds_check_rejects_unnormalized(g8, fan8):
     report = bounds_check(shifted, fan8, g8)
     assert not report.normalized
     assert not report.passed
+
+
+@PROPERTIES
+@given(data=st.data())
+def test_reductor_condition_implies_bounds(data):
+    # q_chi0 = 0 and each Cayley step meets the reductor condition, so a
+    # path chi0 -> chi gives q_chi <= M(chi) and a path chi -> chi0 gives
+    # q_chi >= -M(chi^-1); gcon check relies on this
+    group, fan, family = data.draw(perturbed_sets("none"))
+    coeffs = [d.as_map() for d in family.divisors]
+    moves = data.draw(st.lists(st.tuples(
+        st.integers(1, max(1, len(coeffs) - 1)),
+        st.sampled_from([r.label for r in fan.rays]),
+        st.sampled_from((-1, 1))), min_size=1, max_size=4))
+    for c, label, step in moves:
+        if c < len(coeffs):
+            coeffs[c][label] = coeffs[c].get(label, 0) + step
+    family = ReductorSet(tuple(GWeilDivisor.from_map(d.character, cm)
+                               for d, cm in zip(family.divisors, coeffs)))
+    assert family.is_normalized
+    if check_reductor(family, fan, group).passed:
+        assert bounds_check(family, fan, group).passed
 
 
 # chart pieces and quivers ------------------------------------------------
