@@ -48,7 +48,6 @@ from .toric import (
     NotBasicError,
     Ray,
     build_lattice,
-    chart_exponent,
     discrepancy,
     junior_simplex,
     make_fan,

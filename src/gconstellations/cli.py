@@ -92,8 +92,15 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"argument error: {message}")
 
 
+def argv_int(raw: str) -> int:
+    """ASCII digits with an optional leading '-'; int() also reads "1_0"."""
+    if not (raw.isascii() and raw.removeprefix("-").isdecimal()):
+        raise ValueError(f"not an integer: {raw!r}")
+    return int(raw)
+
+
 def non_negative_int(raw: str) -> int:
-    value = int(raw)
+    value = argv_int(raw)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
@@ -190,7 +197,7 @@ def _load_set(path: str, fan: Fan, group: GroupData) -> ReductorSet:
 
 def _parse_char_arg(raw: str, group: GroupData) -> Character:
     try:
-        parts = [int(p) for p in raw.split(",")]
+        parts = [argv_int(p) for p in raw.split(",")]
     except ValueError as exc:
         raise InputError(f"cannot parse character {raw!r}") from exc
     value = parts[0] if len(parts) == 1 and len(group.orders) == 1 else parts
@@ -473,11 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True)
 
     p = add("piece", cmd_piece, help="chart monomial generators")
-    p.add_argument("--cone", type=int, required=True)
+    p.add_argument("--cone", type=argv_int, required=True)
     p.add_argument("--set", required=True)
 
     p = add("quiver", cmd_quiver, help="labeled McKay quiver on a chart")
-    p.add_argument("--cone", type=int, required=True)
+    p.add_argument("--cone", type=argv_int, required=True)
     p.add_argument("--set", required=True)
     p.add_argument("--dot", action="store_true")
 

@@ -408,6 +408,8 @@ class ReductorPiece:
 def reductor_piece(family: ReductorSet, cone: Cone, fan: Fan,
                    group: GroupData) -> ReductorPiece:
     """Chart generators p_chi: the chart monomial of each D_chi on the cone."""
+    if cone not in fan.cones:
+        raise ValueError(f"cone {cone.labels} is not a cone of the fan")
     k = fan.cones.index(cone) + 1
     return ReductorPiece(cone, family.characters, tuple(
         chart_monomial(divisor, k, fan, group) for divisor in family.divisors

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .exact import rational
 from .group import Character, GroupData
-from .toric import Fan, chart_exponent, pairing
+from .toric import Fan, NotBasicError, pairing
 
 _ZERO = Fraction(0)
 
@@ -161,25 +162,36 @@ def congruence_violations(divisor: GWeilDivisor, fan: Fan,
 
 def chart_monomial(divisor: GWeilDivisor, k: int, fan: Fan,
                    group: GroupData) -> tuple[int, ...]:
-    """The Laurent exponent that cuts out the divisor on the k-th cone
-    (1-based): the coefficient-weighted sum of the cone's dual basis.
-
-    It is integral and of the divisor's weight exactly when the congruence
-    invariant holds on the cone's rays; otherwise CongruenceViolationError.
-    A k that is not an int in 1..len(fan.cones) raises ValueError.
-    """
+    """The Laurent exponent m that cuts out the divisor on the k-th cone
+    (1-based): the cone's dual basis weighted by the divisor's coefficients
+    on its rays, summed on them scaled by their common denominator.
+    NotBasicError unless the rays form a lattice basis (checked on every
+    call), CongruenceViolationError unless m is integral and of the
+    divisor's weight, ValueError unless k is an int in 1..len(fan.cones)."""
     if type(k) is not int or not 1 <= k <= len(fan.cones):
         raise ValueError(f"cone index {k!r} out of range 1..{len(fan.cones)}")
     cone = fan.cones[k - 1]
-    exponent = chart_exponent(cone, fan.lattice, [
-        divisor.coefficient(ray.label) for ray in cone.rays
-    ])
-    if exponent is None:
+    det = cone.det_inverse[0]
+    # |det| == 1/index, compared on the reduced numerator and denominator
+    if det.denominator != fan.lattice.index or abs(det.numerator) != 1:
+        raise NotBasicError(
+            f"cone {cone.labels} is not basic: |det| = {abs(det)}, "
+            f"expected {fan.lattice.covolume}"
+        )
+    coefficients = [divisor.coefficient(ray.label) for ray in cone.rays]
+    scale = lcm(*(c.denominator for c in coefficients))
+    m = [0] * fan.dim
+    for c, dual in zip(coefficients, cone.dual_basis):
+        if c:
+            n = c.numerator * (scale // c.denominator)
+            m = [a + n * d for a, d in zip(m, dual)]
+    if any(x % scale for x in m):
         bad = congruence_violations(divisor, fan, group)
         raise CongruenceViolationError(
             f"coefficients violate the congruence invariant on rays "
             f"{bad or cone.labels}; cone {k} exponent is non-integral"
         )
+    exponent = tuple(x // scale for x in m)
     weight = group.weight(exponent)
     if weight != divisor.character:
         raise CongruenceViolationError(
@@ -274,10 +286,11 @@ def parse_character(raw, group: GroupData) -> Character:
 
 
 def parse_rational(raw, what: str) -> Fraction:
-    """An exact rational from a JSON string such as "5/8" or a JSON integer;
-    a JSON float such as 0.1 has no exact value and is rejected, and so is
-    an exponent string such as "1e9", which Fraction would expand in full."""
-    if type(raw) is int or isinstance(raw, str) and not {"e", "E"} & set(raw):
+    """An exact rational from an ASCII string such as "5/8" or a JSON integer;
+    a JSON float such as 0.1 has no exact value, and Fraction would expand
+    "1e9" in full and read "1_0" as 10: all three are rejected."""
+    if type(raw) is int or (isinstance(raw, str) and raw.isascii()
+                            and not {"e", "E", "_"} & set(raw)):
         return Fraction(raw)
     raise ValueError(f"{what} must be an exact rational: a JSON string or a "
                      f"JSON integer, not {raw!r}")

@@ -104,7 +104,7 @@ class GroupData:
     def __post_init__(self) -> None:
         orders = tuple(self.orders)
         for x in itertools.chain(orders, *self.weights):
-            if isinstance(x, bool) or not isinstance(x, int):
+            if type(x) is not int:
                 raise ValueError(f"orders and weights must be integers: {x!r}")
         if not orders or any(d < 1 for d in orders):
             raise ValueError("need at least one cyclic factor, orders >= 1")

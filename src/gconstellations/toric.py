@@ -227,38 +227,6 @@ def pairing(ray: Ray, m: Sequence) -> Fraction:
     return Fraction(sum(map(mul, ints, m)), scale)
 
 
-def chart_exponent(cone: Cone, lattice: LatticeL,
-                   coefficients: Sequence[Fraction]
-                   ) -> Optional[tuple[int, ...]]:
-    """The exponent m with e(m) = c on each ray e of the basic cone, for the
-    coefficients c listed in the cone's ray order; None if m is not integral.
-
-    m is the coefficient-weighted sum of the cone's dual basis, summed on
-    the coefficients scaled by their common denominator D. NotBasicError
-    unless the rays form a lattice basis, checked on every call.
-    """
-    det = cone.det_inverse[0]
-    # |det| == 1/index, compared on the reduced numerator and denominator
-    if det.denominator != lattice.index or abs(det.numerator) != 1:
-        raise NotBasicError(
-            f"cone {cone.labels} is not basic: |det| = {abs(det)}, "
-            f"expected {lattice.covolume}"
-        )
-    duals = cone.dual_basis
-    if len(coefficients) != len(duals):
-        raise ValueError(f"length mismatch: {len(coefficients)} "
-                         f"coefficients for {len(duals)} rays")
-    scale = lcm(*(c.denominator for c in coefficients))
-    m = [0] * lattice.dim
-    for c, dual in zip(coefficients, duals):
-        if c:
-            n = c.numerator * (scale // c.denominator)
-            m = [a + n * d for a, d in zip(m, dual)]
-    if any(x % scale for x in m):
-        return None
-    return tuple(x // scale for x in m)
-
-
 def junior_simplex(lattice: LatticeL) -> tuple[Vector, ...]:
     """All lattice points with coordinates >= 0 summing to 1.
 

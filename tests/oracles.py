@@ -21,7 +21,7 @@ arithmetic. The chart layer has three more: `pairing_fraction` (the
 `dot` of a ray's Fraction vector), `chart_exponent_fraction` (the
 Fraction sum of the columns of the inverse ray matrix) and
 `quiver_fraction` (cone coordinates q_s + e_j - q_t read from the set's
-coefficients), the oracles for `pairing`, `chart_exponent` and `quiver`.
+coefficients), the oracles for `pairing`, `chart_monomial` and `quiver`.
 """
 
 from __future__ import annotations

@@ -883,6 +883,78 @@ def test_bad_character_argument(capsys, tmp_path, running_problem):
     assert "cannot parse character" in json.loads(out)["detail"]
 
 
+LOOSE_INTEGERS = ["1_0", " 3", "3 ", "+3", "\u0663", "3\n", "3-", ""]
+
+
+@pytest.mark.parametrize("raw", LOOSE_INTEGERS)
+def test_character_argument_is_ascii_digits(capsys, tmp_path,
+                                            running_problem, raw):
+    # int() would read "1_0" as 10 and " 3", "+3" and an Arabic-Indic 3 as 3
+    group, fan, _ = running_problem
+    path = write_set(tmp_path, canonical_family(fan, group))
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text("{}")
+    for argv in (("shift", "--set", path, "--lambda", raw),
+                 ("shift", "--set", path, "--lambda", f"{raw},0"),
+                 ("cartier", "--coeffs", str(coeffs), "--char", raw)):
+        code, out, _ = run(capsys, argv[0], "--input", RUNNING, *argv[1:])
+        assert code == 1
+        assert "cannot parse character" in json.loads(out)["detail"]
+
+
+@pytest.mark.parametrize("raw", LOOSE_INTEGERS)
+def test_integer_options_are_ascii_digits(capsys, tmp_path, running_problem,
+                                          raw):
+    group, fan, _ = running_problem
+    path = write_set(tmp_path, canonical_family(fan, group))
+    for argv in (("piece", "--set", path, "--cone", raw),
+                 ("quiver", "--set", path, "--cone", raw),
+                 ("enumerate", "--limit", raw)):
+        code, out, _ = run(capsys, argv[0], "--input", RUNNING, *argv[1:])
+        assert code == 1
+        assert "argument error" in json.loads(out)["detail"]
+
+
+def test_integer_options_accept_a_leading_minus(capsys, tmp_path,
+                                                running_problem):
+    group, fan, _ = running_problem
+    path = write_set(tmp_path, canonical_family(fan, group))
+    code, out, _ = run(capsys, "shift", "--input", RUNNING, "--set", path,
+                       "--lambda", "-5")
+    assert code == 0
+    assert json.loads(out) == reductor_set_to_json(
+        lambda_shift(canonical_family(fan, group), group.character((3,))))
+    code, out, _ = run(capsys, "piece", "--input", RUNNING, "--set", path,
+                       "--cone", "-1")
+    assert code == 1
+    assert "out of range" in json.loads(out)["detail"]
+
+
+@pytest.mark.parametrize("value", ["1_0/8", "\u0661/\u0668", "\uff11/8"])
+def test_rational_strings_are_ascii(capsys, running_problem, tmp_path, value):
+    # Fraction would read "1_0/8" as 5/4 and Arabic-Indic 1/8 as 1/8
+    bad = edit_problem(tmp_path, "c8_125.json", ("fan", "rays", 3, 0), value)
+    code, out, _ = run(capsys, "info", "--input", bad)
+    assert code == 1
+    assert json.loads(out)["detail"] == (
+        "invalid fan: ray entry must be an exact rational: a JSON string or "
+        f"a JSON integer, not {value!r}")
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps({"E4": value}))
+    code, out, _ = run(capsys, "cartier", "--input", RUNNING,
+                       "--char", "1", "--coeffs", str(coeffs))
+    assert code == 1
+    assert "exact rational" in json.loads(out)["detail"]
+    group, fan, _ = running_problem
+    obj = reductor_set_to_json(canonical_family(fan, group))
+    obj["divisors"][1]["coeffs"]["E4"] = value
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "check", "--input", RUNNING, "--set", str(path))
+    assert code == 1
+    assert "exact rational" in json.loads(out)["detail"]
+
+
 def test_unknown_subcommand(capsys):
     code, out, _ = run(capsys, "frobnicate")
     assert code == 1

@@ -2,6 +2,7 @@
 shifts, bounds, chart pieces, quivers, equivalence."""
 
 import itertools
+import re
 from fractions import Fraction as Q
 from math import lcm
 from pathlib import Path
@@ -36,6 +37,7 @@ from gconstellations import (
     weil_to_cartier,
 )
 from gconstellations.cli import load_problem
+from gconstellations.toric import Cone
 from oracles import monomials_of_weight
 from strategies import PROPERTIES, principal_divisor, shortest_paths
 from test_scaled import PERTURBATIONS, SHORT, _outcome, perturbed_sets
@@ -525,6 +527,17 @@ def test_reductor_piece_shifted_family(g8, fan8):
     assert exps[5] == (2, 0, -1)
     assert exps[6] == (1, 1, -1)
     assert exps[7] == (2, 1, -1)
+
+
+def test_foreign_cone_rejected_by_name(g8, fan8):
+    fam = canonical_family(fan8, g8)
+    cone = fan8.cones[0]
+    # a fan cone with its rays reordered is not one of the fan's cones
+    foreign = Cone(cone.rays[::-1])
+    for build in (reductor_piece, quiver):
+        with pytest.raises(ValueError, match=re.escape(
+                f"cone {foreign.labels} is not a cone of the fan")):
+            build(fam, foreign, fan8, g8)
 
 
 def test_quiver_structure_and_goldens(g8, fan8):

@@ -1,6 +1,7 @@
 """Group data, characters and the weight map."""
 
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,15 @@ def test_group_constructor_rejects_non_integers(orders, weights):
     # int() would read 3.7 as 3, 1.9 and True as 1 and build 1/3(1,1,1)
     with pytest.raises(ValueError, match="must be integers"):
         GroupData(orders, weights)
+
+
+def test_group_constructor_rejects_int_subclasses():
+    # an IntEnum order would pass here and fail later in Character
+    order = IntEnum("Order", {"EIGHT": 8}).EIGHT
+    with pytest.raises(ValueError, match="must be integers"):
+        GroupData((order,), ((1, 2, 5),))
+    with pytest.raises(ValueError, match="must be integers"):
+        GroupData((8,), ((order, 2, 5),))
 
 
 @pytest.mark.parametrize("bad", [4.7, 1.9, 3.2, True, Fraction(4), "a"])

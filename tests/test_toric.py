@@ -7,12 +7,14 @@ from pathlib import Path
 import pytest
 
 from gconstellations import (
+    CongruenceViolationError,
     GroupData,
+    GWeilDivisor,
     NotBasicError,
     build_lattice,
     canonical_family,
     cartier_to_weil,
-    chart_exponent,
+    chart_monomial,
     discrepancy,
     junior_simplex,
     make_fan,
@@ -167,12 +169,13 @@ def test_dual_basis_rejects_non_basic(g8, fan8):
                    Ray(3, (0, 0, 1))))
     # bad's inverse is integral, so only the covolume check rejects it
     assert bad.dual_basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    # chart_exponent checks the cone on every call, not only the first
+    zero = GWeilDivisor(g8.trivial_character, ())
+    # chart_monomial checks the cone on every call, not only the first
     for _ in range(3):
         with pytest.raises(NotBasicError, match="is not basic"):
-            chart_exponent(bad, lat, [Q(0)] * 3)
+            chart_monomial(zero, 1, Fan(lat, bad.rays, (bad,)), g8)
         with pytest.raises(NotBasicError, match="not integral"):
-            chart_exponent(skewed, lat, [Q(0)] * 3)
+            chart_monomial(zero, 1, Fan(lat, skewed.rays, (skewed,)), g8)
 
 
 def test_each_dual_basis_built_once(monkeypatch):
@@ -198,23 +201,19 @@ def test_each_dual_basis_built_once(monkeypatch):
 
 
 def test_chart_exponent(g8, fan8):
-    lat = build_lattice(g8)
-    cone = next(c for c in fan8.cones if set(c.labels) == {4, 5, 6})
+    k, cone = next((k, c) for k, c in enumerate(fan8.cones, start=1)
+                   if set(c.labels) == {4, 5, 6})
     m = (3, -1, 2)
-    values = [pairing(ray, m) for ray in cone.rays]
-    assert chart_exponent(cone, lat, values) == m
-    assert chart_exponent(cone, lat, [Q(0)] * 3) == (0, 0, 0)
+    divisor = GWeilDivisor.from_map(
+        g8.weight(m), {ray.label: pairing(ray, m) for ray in cone.rays})
+    assert chart_monomial(divisor, k, fan8, g8) == m
+    trivial = g8.trivial_character
+    assert chart_monomial(GWeilDivisor(trivial, ()), k, fan8, g8) == (0, 0, 0)
     # a single 1/3 is not congruent to any valuation along a ray of 1/8 Z
-    assert chart_exponent(cone, lat, [Q(1, 3), Q(0), Q(0)]) is None
-
-
-@pytest.mark.parametrize("coefficients", [
-    [Q(1, 8)], [Q(0), Q(0)], [Q(0), Q(0), Q(0), Q(5)], []])
-def test_chart_exponent_checks_length(fan8, coefficients):
-    # a sum over zip(coefficients, duals) would drop or ignore entries
-    cone = next(c for c in fan8.cones if c.labels == (4, 2, 5))
-    with pytest.raises(ValueError, match="^length mismatch: "):
-        chart_exponent(cone, fan8.lattice, coefficients)
+    third = GWeilDivisor(trivial, ((cone.rays[0].label, Q(1, 3)),))
+    with pytest.raises(CongruenceViolationError,
+                       match=f"cone {k} exponent is non-integral"):
+        chart_monomial(third, k, fan8, g8)
 
 
 def test_each_matrix_eliminated_once(monkeypatch):
