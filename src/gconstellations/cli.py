@@ -200,9 +200,8 @@ def _parse_char_arg(raw: str, group: GroupData) -> Character:
         parts = [argv_int(p) for p in raw.split(",")]
     except ValueError as exc:
         raise InputError(f"cannot parse character {raw!r}") from exc
-    value = parts[0] if len(parts) == 1 and len(group.orders) == 1 else parts
     try:
-        return parse_character(value, group)
+        return parse_character(parts, group)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -275,7 +274,7 @@ def _set_table(family: ReductorSet, fan: Fan) -> str:
 
 def cmd_info(args, group: GroupData, fan: Fan, report) -> int:
     lattice = fan.lattice
-    junior = junior_simplex(lattice)
+    junior = junior_simplex(group)
     valuations = [
         x_valuation_on_X(lattice, axis)
         for axis in range(1, group.dim + 1)

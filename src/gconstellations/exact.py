@@ -27,13 +27,6 @@ def rational(x, what: str) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
-def frac(q: Fraction) -> Fraction:
-    """Fractional part of q, always in [0, 1); q - frac(q) is an integer."""
-    q = rational(q, "frac argument")
-    # Python's % on the numerator is already the positive remainder
-    return Fraction(q.numerator % q.denominator, q.denominator)
-
-
 def det_inverse(
     matrix: Sequence[Sequence[Fraction]],
 ) -> tuple[Fraction, Optional[tuple[tuple[Fraction, ...], ...]]]:

@@ -23,7 +23,6 @@ from math import lcm, prod
 from operator import getitem, mul
 from typing import Iterator, Mapping, Optional
 
-from .exact import frac
 from .gdivisor import (
     GWeilDivisor,
     chart_monomial,
@@ -149,12 +148,12 @@ def check_reductor(family: ReductorSet, fan: Fan,
 
 
 def _family_of_shifts(fan: Fan, group: GroupData, value) -> ReductorSet:
-    """D_chi has coefficient value(M(chi)) at each ray, for the ray's
-    maximal shifts M. Each distinct value at a ray is made once."""
+    """D_chi has coefficient value(n, D) at each ray, for the ray's maximal
+    shifts n / D. Each distinct value at a ray is made once."""
     per_ray = []
     for ray in fan.rays:
         shifts = group.scaled_paths(ray.scaled)
-        exact = {n: value(Fraction(n, ray.scaled[0])) for n in set(shifts)}
+        exact = {n: value(n, ray.scaled[0]) for n in set(shifts)}
         per_ray.append((ray.label, [exact[n] for n in shifts]))
     return ReductorSet(tuple(
         GWeilDivisor.from_map(
@@ -167,12 +166,12 @@ def _family_of_shifts(fan: Fan, group: GroupData, value) -> ReductorSet:
 def canonical_family(fan: Fan, group: GroupData) -> ReductorSet:
     """The fractional-valuation family: D_chi = sum_i v(E_i, chi) E_i, where
     v(E_i, chi) is the fractional part of the maximal shift."""
-    return _family_of_shifts(fan, group, frac)
+    return _family_of_shifts(fan, group, lambda n, d: Fraction(n % d, d))
 
 
 def maximal_shift_family(fan: Fan, group: GroupData) -> ReductorSet:
     """The family of divisors of cheapest weight-chi monomials per ray."""
-    return _family_of_shifts(fan, group, lambda shift: shift)
+    return _family_of_shifts(fan, group, Fraction)
 
 
 @dataclass(frozen=True)

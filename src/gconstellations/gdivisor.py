@@ -286,11 +286,13 @@ def parse_character(raw, group: GroupData) -> Character:
 
 
 def parse_rational(raw, what: str) -> Fraction:
-    """An exact rational from an ASCII string such as "5/8" or a JSON integer;
-    a JSON float such as 0.1 has no exact value, and Fraction would expand
-    "1e9" in full and read "1_0" as 10: all three are rejected."""
-    if type(raw) is int or (isinstance(raw, str) and raw.isascii()
-                            and not {"e", "E", "_"} & set(raw)):
+    """An exact rational from a JSON integer or a string of ASCII digits,
+    "-", "/" and "." such as "5/8". A JSON float such as 0.1 has no exact
+    value, and Fraction would expand "1e9" in full, read "1_0" as 10 and
+    "+1/8" or " 1/8" as 1/8, and on Python 3.12 and later "1 / 8" too: all
+    of these are rejected, so every Python reads the same grammar."""
+    if type(raw) is int or (isinstance(raw, str)
+                            and set(raw) <= set("0123456789-/.")):
         return Fraction(raw)
     raise ValueError(f"{what} must be an exact rational: a JSON string or a "
                      f"JSON integer, not {raw!r}")

@@ -22,7 +22,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from . import exact
-from .exact import frac, hermite_normal_form, rational
+from .exact import hermite_normal_form, rational
 from .group import GroupData
 
 Vector = tuple[Fraction, ...]
@@ -227,29 +227,26 @@ def pairing(ray: Ray, m: Sequence) -> Fraction:
     return Fraction(sum(map(mul, ints, m)), scale)
 
 
-def junior_simplex(lattice: LatticeL) -> tuple[Vector, ...]:
-    """All lattice points with coordinates >= 0 summing to 1.
+def junior_simplex(group: GroupData) -> tuple[Vector, ...]:
+    """All points of L with coordinates >= 0 summing to 1.
 
     Unit vectors come first, then the interior-wall points in ascending
     lexicographic order. These points index the crepant exceptional divisors.
+    The group element with exponents k_j in the cyclic factors is the point
+    sum_j k_j w_j / d_j mod 1, listed on ints over S = lcm(d_j).
     """
-    n = lattice.dim
-    units = [
-        tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
-    ]
-    # close the basis rows under addition mod 1 to list L / dual(Z^n)
-    seen: set[Vector] = {tuple(Fraction(0) for _ in range(n))}
-    queue = [next(iter(seen))]
-    gens = [tuple(frac(x) for x in row) for row in lattice.basis]
-    while queue:
-        current = queue.pop()
-        for g in gens:
-            candidate = tuple(frac(a + b) for a, b in zip(current, g))
-            if candidate not in seen:
-                seen.add(candidate)
-                queue.append(candidate)
-    interior = sorted(v for v in seen if sum(v) == 1)
-    return tuple(units) + tuple(interior)
+    n = group.dim
+    scale = lcm(*group.orders)
+    columns = list(zip(*([w * (scale // d) for w in row]
+                         for d, row in zip(group.orders, group.weights))))
+    interior = sorted({
+        point for point in (
+            tuple(sum(map(mul, k, column)) % scale for column in columns)
+            for k in itertools.product(*map(range, group.orders)))
+        if sum(point) == scale})
+    units = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    return tuple(units) + tuple(
+        tuple(Fraction(x, scale) for x in point) for point in interior)
 
 
 def discrepancy(v: Sequence) -> Fraction:

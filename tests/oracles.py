@@ -1,8 +1,11 @@
 """Brute-force reference helpers that only the tests use.
 
 `dot` and `mat_mul` multiply exact vectors and matrices, the second to
-check inverses; `crepant_by_junior_set` compares the rays with every junior
-point of L / Z^n, the oracle for `FanValidationReport.crepant`;
+check inverses; `frac` is the fractional part of a rational;
+`junior_by_closure` closes the lattice basis under addition mod 1, the
+oracle for `junior_simplex`; `crepant_by_junior_set` compares the rays
+with every junior point of L / Z^n, the oracle for
+`FanValidationReport.crepant`;
 `monomials_of_weight` lists every monomial of a given weight in a bounded
 grid, the oracle for the maximal-shift values; `representative_monomial`
 finds one monomial of each weight by breadth-first search, the oracle for
@@ -46,10 +49,10 @@ from gconstellations import (
     Ray,
     ReductorReport,
     ReductorSet,
-    junior_simplex,
 )
 from gconstellations.exact import det_inverse
 from gconstellations.family import QuiverArrow
+from gconstellations.toric import Vector
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:
@@ -57,10 +60,40 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
     return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
 
 
+def frac(q: Fraction) -> Fraction:
+    """Fractional part of q, always in [0, 1); q - frac(q) is an integer."""
+    return Fraction(q.numerator % q.denominator, q.denominator)
+
+
+def junior_by_closure(lattice: LatticeL) -> tuple[Vector, ...]:
+    """All lattice points with coordinates >= 0 summing to 1.
+
+    Unit vectors come first, then the interior-wall points in ascending
+    lexicographic order. These points index the crepant exceptional divisors.
+    """
+    n = lattice.dim
+    units = [
+        tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
+    ]
+    # close the basis rows under addition mod 1 to list L / dual(Z^n)
+    seen: set[Vector] = {tuple(Fraction(0) for _ in range(n))}
+    queue = [next(iter(seen))]
+    gens = [tuple(frac(x) for x in row) for row in lattice.basis]
+    while queue:
+        current = queue.pop()
+        for g in gens:
+            candidate = tuple(frac(a + b) for a, b in zip(current, g))
+            if candidate not in seen:
+                seen.add(candidate)
+                queue.append(candidate)
+    interior = sorted(v for v in seen if sum(v) == 1)
+    return tuple(units) + tuple(interior)
+
+
 def crepant_by_junior_set(fan: Fan) -> bool:
     """Whether the ray vectors are exactly the junior points of L / Z^n,
     all |G| points of which are listed."""
-    return {r.vector for r in fan.rays} == set(junior_simplex(fan.lattice))
+    return {r.vector for r in fan.rays} == set(junior_by_closure(fan.lattice))
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]

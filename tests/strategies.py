@@ -70,7 +70,7 @@ def faithful_groups(draw):
 @st.composite
 def group_and_ray(draw):
     group = draw(faithful_groups())
-    points = junior_simplex(build_lattice(group))
+    points = junior_simplex(group)
     return group, Ray(1, draw(st.sampled_from(points)))
 
 

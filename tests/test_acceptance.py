@@ -16,7 +16,6 @@ from gconstellations import (
     check_reductor,
     enumerate_normalized,
     enumerate_per_ray,
-    frac,
     junior_simplex,
     lambda_shift,
     maximal_shift_family,
@@ -28,7 +27,7 @@ from gconstellations import (
     weil_to_cartier,
     GWeilDivisor,
 )
-from oracles import monomials_of_weight
+from oracles import frac, monomials_of_weight
 from strategies import shortest_paths
 
 
@@ -45,7 +44,7 @@ def _cone(fan, labels):
 
 
 def test_criterion_1_running_example_geometry(g8, fan8):
-    junior = junior_simplex(fan8.lattice)
+    junior = junior_simplex(g8)
     assert len(junior) == 7
     assert (Q(2, 8), Q(4, 8), Q(2, 8)) in junior
     report = validate_fan(fan8)

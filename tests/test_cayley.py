@@ -6,11 +6,11 @@ from hypothesis import assume, given
 
 from gconstellations import (
     enumerate_per_ray,
-    frac,
     pairing,
 )
 from oracles import (
     enumerate_per_ray_dfs,
+    frac,
     monomials_of_weight,
     representative_monomial,
 )

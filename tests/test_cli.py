@@ -122,7 +122,7 @@ def test_info_non_crepant_warns(capsys):
 
 def never_list_junior_points(monkeypatch):
     """Make any listing of L / Z^n during fan validation fail the test."""
-    def refuse(lattice):
+    def refuse(group):
         raise AssertionError("validate_fan listed the junior points")
     monkeypatch.setattr(toric, "junior_simplex", refuse)
 
@@ -141,9 +141,9 @@ def test_loading_never_lists_junior_points(capsys, monkeypatch, path):
 def test_info_lists_junior_points_once(capsys, monkeypatch):
     calls = []
 
-    def counted(lattice):
-        calls.append(lattice)
-        return junior_simplex(lattice)
+    def counted(group):
+        calls.append(group)
+        return junior_simplex(group)
     monkeypatch.setattr(toric, "junior_simplex", counted)
     monkeypatch.setattr(cli, "junior_simplex", counted)
     code, out, _ = run(capsys, "info", "--input", RUNNING)
@@ -930,9 +930,13 @@ def test_integer_options_accept_a_leading_minus(capsys, tmp_path,
     assert "out of range" in json.loads(out)["detail"]
 
 
-@pytest.mark.parametrize("value", ["1_0/8", "\u0661/\u0668", "\uff11/8"])
+@pytest.mark.parametrize("value", [
+    "1_0/8", "\u0661/\u0668", "\uff11/8",
+    " 1/8", "1/8\n", "\t1/8", "1/8\x1c", "+1/8", "1/+8", "1 / 8", "1/ 8"])
 def test_rational_strings_are_ascii(capsys, running_problem, tmp_path, value):
-    # Fraction would read "1_0/8" as 5/4 and Arabic-Indic 1/8 as 1/8
+    # Fraction would read "1_0/8" as 5/4 and Arabic-Indic 1/8 as 1/8; it
+    # reads " 1/8", "1/8\n" and "+1/8" as 1/8 on every Python, and "1 / 8"
+    # too from Python 3.12 on, so a rational has no whitespace and no "+"
     bad = edit_problem(tmp_path, "c8_125.json", ("fan", "rays", 3, 0), value)
     code, out, _ = run(capsys, "info", "--input", bad)
     assert code == 1

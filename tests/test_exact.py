@@ -7,7 +7,6 @@ import pytest
 
 from gconstellations.exact import (
     det_inverse,
-    frac,
     hermite_normal_form,
 )
 from gconstellations.toric import discrepancy
@@ -16,23 +15,6 @@ from oracles import mat_mul
 
 def _det(matrix):
     return det_inverse(matrix)[0]
-
-
-def test_frac_is_fractional_part_in_unit_interval():
-    assert frac(Fraction(7, 4)) == Fraction(3, 4)
-    assert frac(Fraction(-1, 4)) == Fraction(3, 4)
-    assert frac(Fraction(5)) == 0
-    assert frac(Fraction(-9, 8)) == Fraction(7, 8)
-
-
-def test_frac_idempotent_random():
-    rng = random.Random(11)
-    for _ in range(200):
-        q = Fraction(rng.randint(-400, 400), rng.randint(1, 40))
-        f = frac(q)
-        assert 0 <= f < 1
-        assert (q - f).denominator == 1
-        assert frac(f) == f
 
 
 def test_det_small_goldens():
@@ -93,11 +75,10 @@ def test_hermite_normal_form_rejects_ragged_rows(rows):
 
 
 @pytest.mark.parametrize("helper", [
-    frac,
     lambda x: det_inverse([[x]]),
     lambda x: hermite_normal_form([[x, 0], [0, 1]]),
     lambda x: discrepancy((x, Fraction(1, 2))),
-], ids=["frac", "det_inverse", "hermite_normal_form", "discrepancy"])
+], ids=["det_inverse", "hermite_normal_form", "discrepancy"])
 @pytest.mark.parametrize("bad", [0.1, 1.9, True, "1/8"])
 def test_helpers_reject_inexact_entries(helper, bad):
     # Fraction() and int() would read a float at its binary value or

@@ -14,13 +14,13 @@ from gconstellations import (
     chart_monomial,
     divisor_from_json,
     divisor_to_json,
-    frac,
     linear_equivalence_witness,
     monomial_string,
     pairing,
     weil_to_cartier,
 )
 from gconstellations.gdivisor import congruence_violations, parse_character
+from oracles import frac
 from strategies import principal_divisor, shortest_paths
 
 

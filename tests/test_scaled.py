@@ -51,7 +51,7 @@ def group_and_fan(draw):
     labels. The fan has no cones: the set operations read only its rays."""
     group = draw(faithful_groups())
     lattice = build_lattice(group)
-    vectors = draw(st.lists(st.sampled_from(junior_simplex(lattice)),
+    vectors = draw(st.lists(st.sampled_from(junior_simplex(group)),
                             min_size=1, max_size=3, unique=True))
     labels = draw(st.permutations(range(1, len(vectors) + 1)))
     rays = tuple(Ray(label, v) for label, v in zip(labels, vectors))

@@ -5,6 +5,7 @@ from functools import cached_property
 from pathlib import Path
 
 import pytest
+from hypothesis import given
 
 from gconstellations import (
     CongruenceViolationError,
@@ -29,6 +30,8 @@ from gconstellations import (
 from gconstellations import exact
 from gconstellations.cli import load_problem
 from gconstellations.toric import Cone, Fan, LatticeL, Ray
+from oracles import junior_by_closure
+from strategies import PROPERTIES, faithful_groups
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -82,7 +85,7 @@ def test_build_lattice_rejects_non_faithful():
 
 
 def test_junior_simplex_golden_8_125(g8):
-    points = junior_simplex(build_lattice(g8))
+    points = junior_simplex(g8)
     eighth = [
         (Q(1), Q(0), Q(0)),
         (Q(0), Q(1), Q(0)),
@@ -96,14 +99,46 @@ def test_junior_simplex_golden_8_125(g8):
 
 
 def test_junior_simplex_small_cases(g2, g3, g31, g4, g1):
-    assert len(junior_simplex(build_lattice(g2))) == 3
-    assert len(junior_simplex(build_lattice(g3))) == 4
-    lat31 = build_lattice(g31)
-    assert (Q(1, 3), Q(1, 3), Q(1, 3)) in junior_simplex(lat31)
-    assert len(junior_simplex(lat31)) == 4
+    assert len(junior_simplex(g2)) == 3
+    assert len(junior_simplex(g3)) == 4
+    assert (Q(1, 3), Q(1, 3), Q(1, 3)) in junior_simplex(g31)
+    assert len(junior_simplex(g31)) == 4
     # quasi-reflection case: no interior junior point at all
-    assert len(junior_simplex(build_lattice(g4))) == 2
-    assert junior_simplex(build_lattice(g1)) == ((Q(1),),)
+    assert len(junior_simplex(g4)) == 2
+    assert junior_simplex(g1) == ((Q(1),),)
+
+
+@pytest.mark.parametrize("group, interior", [
+    # c4_12: the element 2 is a quasi-reflection, and no point is junior
+    (GroupData.cyclic(4, (1, 2)), ()),
+    # not in SL(3): only the element 3 has age 1
+    (GroupData.cyclic(6, (1, 2, 5)), ((Q(1, 2), Q(0), Q(1, 2)),)),
+    # Z/2 x Z/3 over S = 6, listed in another order than sorted
+    (GroupData((2, 3), ((1, 1, 0), (0, 1, 2))),
+     ((Q(0), Q(1, 3), Q(2, 3)), (Q(0), Q(2, 3), Q(1, 3)),
+      (Q(1, 2), Q(1, 6), Q(1, 3)), (Q(1, 2), Q(1, 2), Q(0)))),
+], ids=["c4_12", "non_sl", "two_factors"])
+def test_junior_simplex_explicit_cases(group, interior):
+    points = junior_simplex(group)
+    assert points[group.dim:] == interior
+    assert points == junior_by_closure(build_lattice(group))
+
+
+@pytest.mark.parametrize("group", [
+    # one junior element, k = 100000, among 200000
+    GroupData.cyclic(200000, (1, 1)),
+    # acts through Z/2: the elements 1 and 3 both give (1/2, 1/2)
+    GroupData.cyclic(4, (2, 2)),
+], ids=["huge", "unfaithful"])
+def test_junior_simplex_units_and_midpoint(group):
+    assert junior_simplex(group) == (
+        (Q(1), Q(0)), (Q(0), Q(1)), (Q(1, 2), Q(1, 2)))
+
+
+@PROPERTIES
+@given(faithful_groups())
+def test_junior_simplex_matches_the_closure(group):
+    assert junior_simplex(group) == junior_by_closure(build_lattice(group))
 
 
 def test_discrepancy():
