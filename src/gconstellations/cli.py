@@ -177,7 +177,7 @@ def load_problem(path: str):
         cones = [_json_ints(c, "cone")
                  for c in _json_list(fan_spec.get("cones", []), "cones")]
         fan = make_fan(lattice, rays, cones)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"invalid fan: {exc}") from exc
     report = validate_fan(fan)
     if not report.passed:
@@ -191,7 +191,7 @@ def _load_set(path: str, fan: Fan, group: GroupData) -> ReductorSet:
     obj = _load_json(path)
     try:
         return reductor_set_from_json(obj, fan, group)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"invalid reductor set in {path}: {exc}") from exc
 
 
@@ -392,7 +392,7 @@ def cmd_cartier(args, group: GroupData, fan: Fan, _) -> int:
     obj = _load_json(args.coeffs)
     try:
         divisor = GWeilDivisor.from_map(character, ray_coefficients(obj, fan))
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"invalid coefficients: {exc}") from exc
     cartier = weil_to_cartier(divisor, fan, group)
     _emit({

@@ -7,9 +7,9 @@ on ints: shortest paths, the reductor-set operations and the chart layer
 by a common denominator and turn results back into Fractions.
 
 Matrices are plain sequences of row sequences, kept small (n x n for the
-ambient dimension n). One Gauss-Jordan elimination, `det_inverse`, gives
-both the determinant and the inverse; callers keep its result instead of
-eliminating the same matrix again.
+ambient dimension n). One Gauss-Jordan elimination, `det_inverse`, the
+only one in the package, gives both the determinant and the inverse;
+callers keep its result instead of eliminating the same matrix again.
 """
 
 from __future__ import annotations
@@ -56,51 +56,3 @@ def det_inverse(
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     return determinant, tuple(tuple(row[n:]) for row in aug)
-
-
-def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Row-style Hermite normal form of an integer matrix.
-
-    Returns only the nonzero rows: pivots positive, strictly to the right as
-    the row index grows, and entries above each pivot reduced into [0, pivot).
-    The output rows generate the same integer row lattice as the input.
-    """
-    # int() would truncate 1.9 and read True as 1
-    if any(type(x) is not int for row in rows for x in row):
-        raise ValueError("Hermite normal form needs int entries")
-    m = [list(row) for row in rows]
-    if not m:
-        return []
-    ncols = len(m[0])
-    if any(len(row) != ncols for row in m):
-        raise ValueError("ragged matrix")
-    r = 0
-    for c in range(ncols):
-        # gcd-reduce column c below row r until one nonzero entry remains
-        while True:
-            live = [i for i in range(r, len(m)) if m[i][c] != 0]
-            if not live:
-                break
-            i0 = min(live, key=lambda i: abs(m[i][c]))
-            m[r], m[i0] = m[i0], m[r]
-            done = True
-            for i in range(r + 1, len(m)):
-                if m[i][c] != 0:
-                    q = m[i][c] // m[r][c]
-                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-                    if m[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < len(m) and m[r][c] != 0:
-            if m[r][c] < 0:
-                m[r] = [-a for a in m[r]]
-            for i in range(r):
-                q = m[i][c] // m[r][c]
-                if q:
-                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-            r += 1
-            if r == len(m):
-                break
-    return [row for row in m if any(row)]
-

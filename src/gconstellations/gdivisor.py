@@ -293,7 +293,10 @@ def parse_rational(raw, what: str) -> Fraction:
     of these are rejected, so every Python reads the same grammar."""
     if type(raw) is int or (isinstance(raw, str)
                             and set(raw) <= set("0123456789-/.")):
-        return Fraction(raw)
+        try:
+            return Fraction(raw)
+        except (ValueError, ZeroDivisionError):
+            pass  # "1/-8", "--1", "1/8/8", "", "." or "1/0"
     raise ValueError(f"{what} must be an exact rational: a JSON string or a "
                      f"JSON integer, not {raw!r}")
 

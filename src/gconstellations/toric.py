@@ -22,7 +22,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from . import exact
-from .exact import hermite_normal_form, rational
+from .exact import rational
 from .group import GroupData
 
 Vector = tuple[Fraction, ...]
@@ -87,17 +87,28 @@ class LatticeL:
 
 
 def build_lattice(group: GroupData) -> LatticeL:
-    """The overlattice generated by the dual of Z^n and the weight rows /d_j."""
+    """The overlattice generated by the dual of Z^n and the weight rows /d_j.
+
+    Its basis is the row-style Hermite form of S*L, S = lcm(d_j), built mod S
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4): each
+    row (S/d_j)*w_j joins S*I by Euclid's algorithm, column by column."""
     n = group.dim
     scale = lcm(*group.orders)
-    generators = [[scale * int(i == j) for j in range(n)] for i in range(n)]
+    basis = [[scale * int(i == j) for j in range(n)] for i in range(n)]
     for order, row in zip(group.orders, group.weights):
-        generators.append([(scale // order) * w for w in row])
-    # the generators include scale * I, so the Hermite form has n rows
-    lattice = LatticeL(tuple(
-        tuple(Fraction(x, scale) for x in row)
-        for row in hermite_normal_form(generators)
-    ))
+        v = [(scale // order) * w for w in row]
+        for i in range(n):
+            # S*e_j for j >= i lies in the rows from j on, which v has not
+            # changed; mod S keeps v[i] >= 0, so every pivot stays positive
+            v = [x % scale for x in v]
+            while v[i]:
+                q = basis[i][i] // v[i]
+                basis[i], v = v, [a - q * b for a, b in zip(basis[i], v)]
+    for i, j in itertools.combinations(range(n), 2):
+        q = basis[i][j] // basis[j][j]
+        basis[i] = [a - q * b for a, b in zip(basis[i], basis[j])]
+    lattice = LatticeL(tuple(tuple(Fraction(x, scale) for x in row)
+                             for row in basis))
     if lattice.index != group.order:
         raise ValueError(
             f"lattice index {lattice.index} != |G| = {group.order}; "
@@ -237,16 +248,24 @@ def junior_simplex(group: GroupData) -> tuple[Vector, ...]:
     """
     n = group.dim
     scale = lcm(*group.orders)
-    columns = list(zip(*([w * (scale // d) for w in row]
-                         for d, row in zip(group.orders, group.weights))))
-    interior = sorted({
-        point for point in (
-            tuple(sum(map(mul, k, column)) % scale for column in columns)
-            for k in itertools.product(*map(range, group.orders)))
-        if sum(point) == scale})
+    steps = [[w * (scale // d) for w in row]
+             for d, row in zip(group.orders, group.weights)]
+    # an odometer over the factors, in memory independent of |G|: d_j steps
+    # of factor j bring the point back, so a carry needs no correction
+    point, counts, interior = [0] * n, [0] * len(steps), set()
+    while True:
+        if sum(point) == scale:
+            interior.add(tuple(point))
+        for j, step in enumerate(steps):
+            point = [(x + s) % scale for x, s in zip(point, step)]
+            counts[j] = (counts[j] + 1) % group.orders[j]
+            if counts[j]:
+                break
+        else:
+            break
     units = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
     return tuple(units) + tuple(
-        tuple(Fraction(x, scale) for x in point) for point in interior)
+        tuple(Fraction(x, scale) for x in point) for point in sorted(interior))
 
 
 def discrepancy(v: Sequence) -> Fraction:

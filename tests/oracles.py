@@ -1,7 +1,9 @@
 """Brute-force reference helpers that only the tests use.
 
 `dot` and `mat_mul` multiply exact vectors and matrices, the second to
-check inverses; `frac` is the fractional part of a rational;
+check inverses; `hermite_normal_form` is the general row-style Hermite
+normal form of an integer matrix, the oracle for `build_lattice`; `frac`
+is the fractional part of a rational;
 `junior_by_closure` closes the lattice basis under addition mod 1, the
 oracle for `junior_simplex`; `crepant_by_junior_set` compares the rays
 with every junior point of L / Z^n, the oracle for
@@ -100,6 +102,53 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]
             ) -> list[list[Fraction]]:
     bt = list(zip(*b))
     return [[dot(row, col) for col in bt] for row in a]
+
+
+def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Row-style Hermite normal form of an integer matrix.
+
+    Returns only the nonzero rows: pivots positive, strictly to the right as
+    the row index grows, and entries above each pivot reduced into [0, pivot).
+    The output rows generate the same integer row lattice as the input.
+    """
+    # int() would truncate 1.9 and read True as 1
+    if any(type(x) is not int for row in rows for x in row):
+        raise ValueError("Hermite normal form needs int entries")
+    m = [list(row) for row in rows]
+    if not m:
+        return []
+    ncols = len(m[0])
+    if any(len(row) != ncols for row in m):
+        raise ValueError("ragged matrix")
+    r = 0
+    for c in range(ncols):
+        # gcd-reduce column c below row r until one nonzero entry remains
+        while True:
+            live = [i for i in range(r, len(m)) if m[i][c] != 0]
+            if not live:
+                break
+            i0 = min(live, key=lambda i: abs(m[i][c]))
+            m[r], m[i0] = m[i0], m[r]
+            done = True
+            for i in range(r + 1, len(m)):
+                if m[i][c] != 0:
+                    q = m[i][c] // m[r][c]
+                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
+                    if m[i][c] != 0:
+                        done = False
+            if done:
+                break
+        if r < len(m) and m[r][c] != 0:
+            if m[r][c] < 0:
+                m[r] = [-a for a in m[r]]
+            for i in range(r):
+                q = m[i][c] // m[r][c]
+                if q:
+                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
+            r += 1
+            if r == len(m):
+                break
+    return [row for row in m if any(row)]
 
 
 def monomials_of_weight(group: GroupData, char: Character,

@@ -1,8 +1,9 @@
 """Hypothesis strategies shared by the property tests: random faithful
 diagonal actions of small abelian groups, with a junior ray and a
-character. Also two builders of test inputs, the denominator that pushes
-a coefficient off the grid and the principal divisor of a monomial, and
-`shortest_paths`, the library's scaled shortest paths as Fractions."""
+character, and random actions that need not be faithful. Also two
+builders of test inputs, the denominator that pushes a coefficient off
+the grid and the principal divisor of a monomial, and `shortest_paths`,
+the library's scaled shortest paths as Fractions."""
 
 from fractions import Fraction
 from math import gcd
@@ -65,6 +66,16 @@ def faithful_groups(draw):
     except ValueError:
         assume(False)
     return group
+
+
+@st.composite
+def any_groups(draw):
+    """One to three cyclic factors of order <= 60 on C^1 to C^4, faithful
+    or not."""
+    n = draw(st.integers(1, 4))
+    orders = tuple(draw(st.lists(st.integers(1, 60), min_size=1,
+                                 max_size=3)))
+    return GroupData(orders, tuple(_weights(draw, d, n) for d in orders))
 
 
 @st.composite

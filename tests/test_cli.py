@@ -932,11 +932,14 @@ def test_integer_options_accept_a_leading_minus(capsys, tmp_path,
 
 @pytest.mark.parametrize("value", [
     "1_0/8", "\u0661/\u0668", "\uff11/8",
-    " 1/8", "1/8\n", "\t1/8", "1/8\x1c", "+1/8", "1/+8", "1 / 8", "1/ 8"])
+    " 1/8", "1/8\n", "\t1/8", "1/8\x1c", "+1/8", "1/+8", "1 / 8", "1/ 8",
+    "1/-8", "--1", "1/8/8", "", ".", "-", "1/0"])
 def test_rational_strings_are_ascii(capsys, running_problem, tmp_path, value):
     # Fraction would read "1_0/8" as 5/4 and Arabic-Indic 1/8 as 1/8; it
     # reads " 1/8", "1/8\n" and "+1/8" as 1/8 on every Python, and "1 / 8"
-    # too from Python 3.12 on, so a rational has no whitespace and no "+"
+    # too from Python 3.12 on, so a rational has no whitespace and no "+";
+    # a malformed string of the allowed characters, or "1/0", gets the same
+    # wording rather than Fraction's own
     bad = edit_problem(tmp_path, "c8_125.json", ("fan", "rays", 3, 0), value)
     code, out, _ = run(capsys, "info", "--input", bad)
     assert code == 1

@@ -1,7 +1,10 @@
 """Overlattice, fan, junior simplex and validation."""
 
+import re
+import tracemalloc
 from fractions import Fraction as Q
 from functools import cached_property
+from math import lcm, prod
 from pathlib import Path
 
 import pytest
@@ -30,8 +33,8 @@ from gconstellations import (
 from gconstellations import exact
 from gconstellations.cli import load_problem
 from gconstellations.toric import Cone, Fan, LatticeL, Ray
-from oracles import junior_by_closure
-from strategies import PROPERTIES, faithful_groups
+from oracles import hermite_normal_form, junior_by_closure
+from strategies import PROPERTIES, any_groups, faithful_groups
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -84,6 +87,26 @@ def test_build_lattice_rejects_non_faithful():
         build_lattice(GroupData.cyclic(4, (2, 2)))
 
 
+@PROPERTIES
+@given(any_groups())
+def test_build_lattice_is_the_hermite_form(group):
+    # S*L is generated by S*I and the rows (S/d_j)*w_j; its Hermite form
+    # is unique, and 1/det of L is S^n over the product of its pivots
+    n, scale = group.dim, lcm(*group.orders)
+    rows = [[scale * int(i == j) for j in range(n)] for i in range(n)]
+    rows += [[(scale // d) * w for w in row]
+             for d, row in zip(group.orders, group.weights)]
+    hnf = hermite_normal_form(rows)
+    index = scale ** n // prod(row[i] for i, row in enumerate(hnf))
+    if index == group.order:
+        basis = build_lattice(group).basis
+        assert [[x * scale for x in row] for row in basis] == hnf
+    else:
+        with pytest.raises(ValueError, match=re.escape(
+                f"lattice index {index} != |G| = {group.order}")):
+            build_lattice(group)
+
+
 def test_junior_simplex_golden_8_125(g8):
     points = junior_simplex(g8)
     eighth = [
@@ -133,6 +156,18 @@ def test_junior_simplex_explicit_cases(group, interior):
 def test_junior_simplex_units_and_midpoint(group):
     assert junior_simplex(group) == (
         (Q(1), Q(0)), (Q(0), Q(1)), (Q(1, 2), Q(1, 2)))
+
+
+def test_junior_simplex_memory_is_independent_of_the_order():
+    # a list or tuple of G's 50000 elements alone would take about 2 MB
+    tracemalloc.start()
+    try:
+        points = junior_simplex(GroupData.cyclic(50000, (1, 1)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(points) == 3
+    assert peak < 512 * 1024
 
 
 @PROPERTIES
