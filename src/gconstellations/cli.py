@@ -24,8 +24,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Sequence
 from operator import getitem
-from typing import NoReturn, Optional, Sequence
 
 from .family import (
     NormalizedEnumeration,
@@ -88,7 +88,7 @@ class MathCheckError(CommandError):
 class _Parser(argparse.ArgumentParser):
     # argparse would exit(2) on bad arguments; route through InputError so
     # all invalid input exits 1 with JSON diagnostics
-    def error(self, message: str) -> NoReturn:
+    def error(self, message: str):
         raise InputError(f"argument error: {message}")
 
 
@@ -506,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
@@ -530,5 +530,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code
 
 
-def console_main() -> NoReturn:
+def console_main():
     sys.exit(main())

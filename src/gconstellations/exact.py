@@ -14,8 +14,8 @@ callers keep its result instead of eliminating the same matrix again.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 
 def rational(x, what: str) -> Fraction:
@@ -29,7 +29,7 @@ def rational(x, what: str) -> Fraction:
 
 def det_inverse(
     matrix: Sequence[Sequence[Fraction]],
-) -> tuple[Fraction, Optional[tuple[tuple[Fraction, ...], ...]]]:
+) -> tuple[Fraction, tuple[tuple[Fraction, ...], ...] | None]:
     """Exact determinant and inverse from one Gauss-Jordan elimination.
 
     The inverse is None exactly when the determinant is zero.

@@ -16,12 +16,11 @@ is what makes the tables finite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
 from operator import getitem, mul
-from typing import Iterator, Mapping, Optional
 
 from .gdivisor import (
     GWeilDivisor,
@@ -33,11 +32,11 @@ from .gdivisor import (
     monomial_string,
 )
 from .group import Character, GroupData
+from .record import Record
 from .toric import Cone, Fan, Ray
 
 
-@dataclass(frozen=True)
-class ReductorSet:
+class ReductorSet(Record):
     """One chi-divisor per character, sorted by residue tuple."""
 
     divisors: tuple[GWeilDivisor, ...]
@@ -79,8 +78,7 @@ class ReductorSet:
         return scale, labels, tuple(rows)
 
 
-@dataclass(frozen=True)
-class ReductorReport:
+class ReductorReport(Record):
     """Outcome of check_reductor; empty tuples everywhere means a pass."""
 
     structure_errors: tuple[str, ...]
@@ -174,8 +172,7 @@ def maximal_shift_family(fan: Fan, group: GroupData) -> ReductorSet:
     return _family_of_shifts(fan, group, Fraction)
 
 
-@dataclass(frozen=True)
-class PerRayTable:
+class PerRayTable(Record):
     """All admissible coefficient rows at one ray, in lexicographic order,
     kept as positions: a row p gives the k-th character the coefficient
     values[k][p[k]], where values[k] lists its candidates from low to high."""
@@ -255,15 +252,14 @@ def enumerate_per_ray(ray: Ray, group: GroupData) -> PerRayTable:
                        tuple(positions))
 
 
-@dataclass(frozen=True)
-class NormalizedEnumeration:
+class NormalizedEnumeration(Record):
     """Per-ray tables plus the total count; sets() streams the sets."""
 
     group: GroupData
     tables: tuple[PerRayTable, ...]
     count: int
 
-    def sets(self, limit: Optional[int] = None) -> Iterator[ReductorSet]:
+    def sets(self, limit: int | None = None) -> Iterator[ReductorSet]:
         chars = self.group.characters()
         # tables in increasing ray label, the order of entries;
         # entries[k][c][i] is the entry (label, q) of the k-th of them for
@@ -340,8 +336,7 @@ def reflect(family: ReductorSet) -> ReductorSet:
     ], chars)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(Record):
     """Coefficientwise comparison against the maximal-shift envelope."""
 
     normalized: bool
@@ -382,8 +377,7 @@ def bounds_check(family: ReductorSet, fan: Fan,
     return BoundsReport(True, tuple(violations))
 
 
-@dataclass(frozen=True)
-class ReductorPiece:
+class ReductorPiece(Record):
     """Per-chart monomial generators of a family, one exponent per character."""
 
     cone: Cone
@@ -407,16 +401,17 @@ class ReductorPiece:
 def reductor_piece(family: ReductorSet, cone: Cone, fan: Fan,
                    group: GroupData) -> ReductorPiece:
     """Chart generators p_chi: the chart monomial of each D_chi on the cone."""
-    if cone not in fan.cones:
-        raise ValueError(f"cone {cone.labels} is not a cone of the fan")
-    k = fan.cones.index(cone) + 1
+    try:
+        k = fan.cones.index(cone) + 1
+    except ValueError:
+        raise ValueError(
+            f"cone {cone.labels} is not a cone of the fan") from None
     return ReductorPiece(cone, family.characters, tuple(
         chart_monomial(divisor, k, fan, group) for divisor in family.divisors
     ))
 
 
-@dataclass(frozen=True)
-class QuiverArrow:
+class QuiverArrow(Record):
     source: Character
     target: Character
     coordinate: int            # 1-based index of the acting coordinate
@@ -434,8 +429,7 @@ class QuiverArrow:
         }
 
 
-@dataclass(frozen=True)
-class QuiverRep:
+class QuiverRep(Record):
     """The McKay quiver of the family on one chart: |G| vertices, n arrows
     out of each, labeled by invariant monomials with nonnegative chart
     coordinates."""
@@ -505,12 +499,11 @@ def quiver_to_dot(rep: QuiverRep) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
+class EquivalenceResult(Record):
     """Common difference of two families, when one exists."""
 
-    difference: Optional[GWeilDivisor]
-    monomial: Optional[tuple[int, ...]]
+    difference: GWeilDivisor | None
+    monomial: tuple[int, ...] | None
     isomorphic: bool
 
     @property

@@ -10,13 +10,13 @@ dual basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Optional, Sequence
 
 from .exact import rational
 from .group import Character, GroupData
+from .record import Record
 from .toric import Fan, NotBasicError, pairing
 
 _ZERO = Fraction(0)
@@ -58,8 +58,7 @@ def monomial_string(exponent: Sequence[int]) -> str:
     return result
 
 
-@dataclass(frozen=True)
-class GWeilDivisor:
+class GWeilDivisor(Record):
     """A character plus rational ray coefficients (zeros omitted).
 
     entries are (ray label, coefficient) pairs, sorted by label; the divisor
@@ -70,9 +69,10 @@ class GWeilDivisor:
     character: Character
     entries: tuple[tuple[int, Fraction], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, character: Character,
+                 entries: Sequence[tuple[int, Fraction]]) -> None:
         cleaned = []
-        for label, c in self.entries:
+        for label, c in entries:
             if type(label) is not int:
                 raise ValueError(f"ray labels must be integers: {label!r}")
             c = rational(c, "coefficients")
@@ -82,7 +82,7 @@ class GWeilDivisor:
         labels = [label for label, _ in cleaned]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate ray label in divisor")
-        object.__setattr__(self, "entries", tuple(cleaned))
+        super().__init__(character, tuple(cleaned))
 
     @classmethod
     def _trusted(cls, character: Character,
@@ -90,8 +90,7 @@ class GWeilDivisor:
         """A divisor from entries already in normal form: int labels in
         increasing order, nonzero Fraction coefficients."""
         divisor = object.__new__(cls)
-        object.__setattr__(divisor, "character", character)
-        object.__setattr__(divisor, "entries", entries)
+        divisor.__dict__.update(character=character, entries=entries)
         return divisor
 
     @classmethod
@@ -128,18 +127,18 @@ class GWeilDivisor:
         return self + -other
 
 
-@dataclass(frozen=True)
-class GCartierDivisor:
+class GCartierDivisor(Record):
     """Per-cone Laurent exponents, aligned with the fan's cone order."""
 
     character: Character
     exponents: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        exponents = tuple(tuple(m) for m in self.exponents)
+    def __init__(self, character: Character,
+                 exponents: Sequence[Sequence[int]]) -> None:
+        exponents = tuple(tuple(m) for m in exponents)
         if any(type(x) is not int for m in exponents for x in m):
             raise ValueError(f"exponents must be integers: {exponents}")
-        object.__setattr__(self, "exponents", exponents)
+        super().__init__(character, exponents)
 
 
 def congruence_violations(divisor: GWeilDivisor, fan: Fan,
@@ -238,7 +237,7 @@ def cartier_to_weil(cartier: GCartierDivisor, fan: Fan,
 
 def linear_equivalence_witness(
     a: GWeilDivisor, b: GWeilDivisor, fan: Fan, group: GroupData
-) -> Optional[tuple[int, ...]]:
+) -> tuple[int, ...] | None:
     """A monomial exponent m with div(x^m) = b - a on all fan rays, or None.
 
     The fan's rays span the ambient space, so the witness is unique if it

@@ -17,37 +17,36 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property
 from math import prod
 from operator import mul
-from typing import Optional, Sequence
+
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Record):
     """A character of a finite abelian group, as residues per cyclic factor."""
 
     residues: tuple[int, ...]
     orders: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        orders = tuple(self.orders)
-        if any(type(x) is not int for x in (*self.residues, *orders)):
+    def __init__(self, residues: Sequence[int],
+                 orders: Sequence[int]) -> None:
+        orders = tuple(orders)
+        if any(type(x) is not int for x in (*residues, *orders)):
             raise ValueError("residues and orders must be integers")
-        if len(self.residues) != len(orders):
+        if len(residues) != len(orders):
             raise ValueError("residues and orders must have equal length")
         if any(d < 1 for d in orders):
             raise ValueError("cyclic orders must be >= 1")
-        self._fill(tuple(r % d for r, d in zip(self.residues, orders)),
-                   orders)
+        self._fill(tuple(r % d for r, d in zip(residues, orders)), orders)
 
     def _fill(self, residues: tuple[int, ...],
               orders: tuple[int, ...]) -> None:
-        object.__setattr__(self, "residues", residues)
-        object.__setattr__(self, "orders", orders)
         # characters key dicts throughout; hash them once
-        object.__setattr__(self, "_hash", hash((residues, orders)))
+        self.__dict__.update(residues=residues, orders=orders,
+                             _hash=hash((residues, orders)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -89,8 +88,7 @@ class Character:
         return list(self.residues)
 
 
-@dataclass(frozen=True)
-class GroupData:
+class GroupData(Record):
     """A finite abelian group with a diagonal action on C^n.
 
     orders: the cyclic factor orders d_1..d_k.
@@ -101,26 +99,23 @@ class GroupData:
     orders: tuple[int, ...]
     weights: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        orders = tuple(self.orders)
-        for x in itertools.chain(orders, *self.weights):
+    def __init__(self, orders: Sequence[int],
+                 weights: Sequence[Sequence[int]]) -> None:
+        orders = tuple(orders)
+        for x in itertools.chain(orders, *weights):
             if type(x) is not int:
                 raise ValueError(f"orders and weights must be integers: {x!r}")
         if not orders or any(d < 1 for d in orders):
             raise ValueError("need at least one cyclic factor, orders >= 1")
-        if len(self.weights) != len(orders):
+        if len(weights) != len(orders):
             raise ValueError("one weight row per cyclic factor required")
-        widths = {len(row) for row in self.weights}
+        widths = {len(row) for row in weights}
         if len(widths) != 1 or widths == {0}:
             raise ValueError("weight rows must share a positive length")
-        weights = tuple(
-            tuple(w % d for w in row)
-            for row, d in zip(self.weights, orders)
-        )
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "weights", weights)
+        weights = tuple(tuple(w % d for w in row)
+                        for row, d in zip(weights, orders))
         # scaled distances, keyed by a ray's scaled form (D, ints)
-        object.__setattr__(self, "_paths", {})
+        self.__dict__.update(orders=orders, weights=weights, _paths={})
 
     @classmethod
     def cyclic(cls, order: int, weights: Sequence[int]) -> "GroupData":
@@ -201,7 +196,7 @@ class GroupData:
         costs = scaled[1]
         if any(cost < 0 for cost in costs):
             raise ValueError(f"step costs must be >= 0, not {scaled}")
-        dist: list[Optional[int]] = [None] * self.order
+        dist: list[int | None] = [None] * self.order
         dist[0] = 0
         heap = [(0, 0)]
         steps = self.steps

@@ -14,16 +14,16 @@ its integer dual basis.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Optional, Sequence
 
 from . import exact
 from .exact import rational
 from .group import GroupData
+from .record import Record
 
 Vector = tuple[Fraction, ...]
 
@@ -36,15 +36,13 @@ def _vec(values: Sequence) -> Vector:
     return tuple(rational(v, "coordinates") for v in values)
 
 
-@dataclass(frozen=True)
-class LatticeL:
+class LatticeL(Record):
     """An overlattice of the dual of Z^n, given by basis rows."""
 
     basis: tuple[Vector, ...]
 
-    def __post_init__(self) -> None:
-        basis = tuple(_vec(row) for row in self.basis)
-        object.__setattr__(self, "basis", basis)
+    def __init__(self, basis: Sequence[Sequence]) -> None:
+        basis = tuple(_vec(row) for row in basis)
         d, inverse = exact.det_inverse(basis)
         if inverse is None:
             raise ValueError("lattice basis is singular")
@@ -58,8 +56,8 @@ class LatticeL:
         if any(x.denominator != 1 for row in inverse for x in row):
             raise ValueError("basis does not generate an overlattice of the "
                              "dual of Z^n (the inverse basis is not integral)")
-        object.__setattr__(self, "_inverse", inverse)
-        object.__setattr__(self, "_index", int(index))
+        self.__dict__.update(basis=basis, _inverse=inverse,
+                             _index=int(index))
 
     @property
     def dim(self) -> int:
@@ -117,17 +115,16 @@ def build_lattice(group: GroupData) -> LatticeL:
     return lattice
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(Record):
     """A fan ray: primitive lattice generator of an exceptional divisor."""
 
     label: int
     vector: Vector
 
-    def __post_init__(self) -> None:
-        if type(self.label) is not int:
-            raise ValueError(f"ray labels must be integers: {self.label!r}")
-        object.__setattr__(self, "vector", _vec(self.vector))
+    def __init__(self, label: int, vector: Sequence) -> None:
+        if type(label) is not int:
+            raise ValueError(f"ray labels must be integers: {label!r}")
+        super().__init__(label, _vec(vector))
 
     @property
     def name(self) -> str:
@@ -142,8 +139,7 @@ class Ray:
                             for x in self.vector)
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Record):
     """A simplicial cone spanned by n fan rays (a chart of the resolution)."""
 
     rays: tuple[Ray, ...]
@@ -157,7 +153,7 @@ class Cone:
         return tuple(r.vector for r in self.rays)
 
     @cached_property
-    def det_inverse(self) -> tuple[Fraction, Optional[tuple[Vector, ...]]]:
+    def det_inverse(self) -> tuple[Fraction, tuple[Vector, ...] | None]:
         """Determinant and inverse of the ray matrix, eliminated on first
         use and kept on the cone."""
         return exact.det_inverse(self.matrix)
@@ -175,30 +171,31 @@ class Cone:
                      for column in zip(*inverse))
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Record):
     """An overlattice together with rays and maximal basic cones."""
 
     lattice: LatticeL
     rays: tuple[Ray, ...]
     cones: tuple[Cone, ...]
 
-    def __post_init__(self) -> None:
-        if any(len(r.vector) != self.dim for r in self.rays):
-            raise ValueError(f"every ray needs {self.dim} coordinates")
-        labels = [r.label for r in self.rays]
+    def __init__(self, lattice: LatticeL, rays: tuple[Ray, ...],
+                 cones: tuple[Cone, ...]) -> None:
+        if any(len(r.vector) != lattice.dim for r in rays):
+            raise ValueError(f"every ray needs {lattice.dim} coordinates")
+        labels = [r.label for r in rays]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate ray labels")
-        known = {r.label: r for r in self.rays}
-        for cone in self.cones:
-            if len(cone.rays) != self.lattice.dim:
+        known = {r.label: r for r in rays}
+        for cone in cones:
+            if len(cone.rays) != lattice.dim:
                 raise ValueError(
                     f"cone {cone.labels} must have exactly "
-                    f"{self.lattice.dim} rays"
+                    f"{lattice.dim} rays"
                 )
             for ray in cone.rays:
                 if known.get(ray.label) != ray:
                     raise ValueError(f"cone uses unknown ray {ray.label}")
+        super().__init__(lattice, rays, cones)
 
     @property
     def dim(self) -> int:
@@ -289,8 +286,7 @@ def x_valuation_on_X(lattice: LatticeL, axis: int) -> Fraction:
                     gcd(*(w.numerator for w in row)))
 
 
-@dataclass(frozen=True)
-class FanValidationReport:
+class FanValidationReport(Record):
     """Diagnostics from validate_fan; passed is the overall verdict."""
 
     ray_errors: tuple[str, ...]
@@ -298,8 +294,8 @@ class FanValidationReport:
     nonbasic_cones: tuple[int, ...]           # 1-based cone indices
     face_violations: tuple[tuple[int, int], ...]  # 1-based cone index pairs
     crepant: bool
-    coverage: Optional[bool]                  # None = not checked
-    warnings: tuple[str, ...] = field(default=())
+    coverage: bool | None                     # None = not checked
+    warnings: tuple[str, ...]
 
     @property
     def passed(self) -> bool:
@@ -377,7 +373,7 @@ def validate_fan(fan: Fan) -> FanValidationReport:
     # on a passing fan each junior point is a sum of the rays of its basic
     # cone with int weights >= 0 summing to 1, so the rays are all of them
     crepant = not (ray_errors or any(discrepancy(r.vector) for r in fan.rays))
-    coverage: Optional[bool]
+    coverage: bool | None
     if ray_errors or nonbasic or face_violations:
         coverage = None
         warnings.append("support coverage not checked (earlier failures)")
@@ -394,11 +390,5 @@ def validate_fan(fan: Fan) -> FanValidationReport:
         )
         coverage = boundary_on_walls and volume == 1
     return FanValidationReport(
-        ray_errors=tuple(ray_errors),
-        cone_determinants=tuple(determinants),
-        nonbasic_cones=tuple(nonbasic),
-        face_violations=tuple(face_violations),
-        crepant=crepant,
-        coverage=coverage,
-        warnings=tuple(warnings),
-    )
+        tuple(ray_errors), tuple(determinants), tuple(nonbasic),
+        tuple(face_violations), crepant, coverage, tuple(warnings))
