@@ -19,17 +19,19 @@ import itertools
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
-from operator import getitem, mul
+from math import prod
+from operator import getitem, mul, sub
 
 from .gdivisor import (
     GWeilDivisor,
-    chart_monomial,
+    Scaled,
+    chart_exponents,
     congruence_violations,
     divisor_from_json,
     divisor_to_json,
     linear_equivalence_witness,
     monomial_string,
+    scaled_coefficients,
 )
 from .group import Character, GroupData
 from .record import Record
@@ -59,23 +61,9 @@ class ReductorSet(Record):
         )
 
     @cached_property
-    def scaled(self) -> tuple[int, tuple[int, ...],
-                              tuple[tuple[int, ...], ...]]:
-        """(D, labels, rows): D is the lcm of the coefficients' denominators,
-        labels the ray labels holding a nonzero coefficient, in increasing
-        order, and rows[k][l] is D times the k-th divisor's coefficient at
-        labels[l]."""
-        entries = [d.entries for d in self.divisors]
-        scale = lcm(*(c.denominator for e in entries for _, c in e))
-        labels = tuple(sorted({label for e in entries for label, _ in e}))
-        position = {label: l for l, label in enumerate(labels)}
-        rows = []
-        for e in entries:
-            row = [0] * len(labels)
-            for label, c in e:
-                row[position[label]] = c.numerator * (scale // c.denominator)
-            rows.append(tuple(row))
-        return scale, labels, tuple(rows)
+    def scaled(self) -> Scaled:
+        """The divisors' scaled_coefficients (D, labels, rows)."""
+        return scaled_coefficients(self.divisors)
 
 
 class ReductorReport(Record):
@@ -109,6 +97,9 @@ class ReductorReport(Record):
         }
 
 
+_STRUCTURE_ERROR = "need exactly one divisor per character, sorted by residues"
+
+
 def _ray_columns(family: ReductorSet, fan: Fan):
     """(ray, D, q) per fan ray: D is the set's common denominator and q[k]
     is D * D_e times the k-th divisor's coefficient at the ray, for the
@@ -127,10 +118,7 @@ def check_reductor(family: ReductorSet, fan: Fan,
     the inequalities on ints over each ray's common denominator."""
     chars = family.characters
     if list(chars) != group.characters():
-        return ReductorReport(
-            ("need exactly one divisor per character, sorted by residues",),
-            (), (),
-        )
+        return ReductorReport((_STRUCTURE_ERROR,), (), ())
     congruence = tuple(
         (d.character, label) for d in family.divisors
         for label in congruence_violations(d, fan, group)
@@ -406,9 +394,8 @@ def reductor_piece(family: ReductorSet, cone: Cone, fan: Fan,
     except ValueError:
         raise ValueError(
             f"cone {cone.labels} is not a cone of the fan") from None
-    return ReductorPiece(cone, family.characters, tuple(
-        chart_monomial(divisor, k, fan, group) for divisor in family.divisors
-    ))
+    return ReductorPiece(cone, family.characters, chart_exponents(
+        family.divisors, family.scaled, k, fan, group))
 
 
 class QuiverArrow(Record):
@@ -450,32 +437,32 @@ def quiver(family: ReductorSet, cone: Cone, fan: Fan,
            group: GroupData) -> QuiverRep:
     """Arrows chi -> chi * weight(x_j) labeled p_chi + u_j - p_target.
 
-    A ray e of the cone pairs with the label to q_chi(e) + e_j - q_target(e),
-    since chart_monomial makes e(p_chi) = q_chi(e); the pairing is summed on
-    the ray's scaled ints and each distinct value becomes a Fraction once.
+    A ray e of the cone pairs with the label to e(p_chi) + e_j - e(p_target),
+    from each exponent's pairing with each ray, made once on the ray's scaled
+    ints; each distinct value becomes a Fraction once. ValueError unless the
+    set has one divisor per character, in residue order.
     """
+    if list(family.characters) != group.characters():
+        raise ValueError(_STRUCTURE_ERROR)
     piece = reductor_piece(family, cone, fan, group)
-    chars = group.characters()
-    charts = dict(zip(piece.characters, piece.exponents))
+    chars, exponents = piece.characters, piece.exponents
     rays = [ray.scaled for ray in cone.rays]
+    dots = [[sum(map(mul, ints, m)) for _, ints in rays] for m in exponents]
     exact: dict[tuple[int, int], Fraction] = {}
     arrows = []
-    for char, exponent in charts.items():
-        for j, step in enumerate(group.steps[group.index[char]]):
-            target = chars[step]
-            label = tuple(
-                e + int(i == j) - t
-                for i, (e, t) in enumerate(zip(exponent, charts[target]))
-            )
+    for i, char in enumerate(chars):
+        for j, t in enumerate(group.steps[i]):
+            label = list(map(sub, exponents[i], exponents[t]))
+            label[j] += 1
             coords = []
-            for scale, ints in rays:
-                key = (sum(map(mul, ints, label)), scale)
+            for (scale, ints), source, target in zip(rays, dots[i], dots[t]):
+                key = (source + ints[j] - target, scale)
                 if key not in exact:
                     exact[key] = Fraction(*key)
                 coords.append(exact[key])
-            arrows.append(
-                QuiverArrow(char, target, j + 1, label, tuple(coords)))
-    return QuiverRep(cone, piece.characters, tuple(arrows))
+            arrows.append(QuiverArrow(char, chars[t], j + 1, tuple(label),
+                                      tuple(coords)))
+    return QuiverRep(cone, chars, tuple(arrows))
 
 
 def quiver_to_dot(rep: QuiverRep) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .exact import rational
 from .group import Character, GroupData
@@ -20,6 +21,8 @@ from .record import Record
 from .toric import Fan, NotBasicError, pairing
 
 _ZERO = Fraction(0)
+
+Scaled = tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
 class CongruenceViolationError(ValueError):
@@ -159,14 +162,32 @@ def congruence_violations(divisor: GWeilDivisor, fan: Fan,
     return bad + sorted(coeffs)
 
 
-def chart_monomial(divisor: GWeilDivisor, k: int, fan: Fan,
-                   group: GroupData) -> tuple[int, ...]:
-    """The Laurent exponent m that cuts out the divisor on the k-th cone
-    (1-based): the cone's dual basis weighted by the divisor's coefficients
-    on its rays, summed on them scaled by their common denominator.
-    NotBasicError unless the rays form a lattice basis (checked on every
-    call), CongruenceViolationError unless m is integral and of the
-    divisor's weight, ValueError unless k is an int in 1..len(fan.cones)."""
+def scaled_coefficients(divisors: Sequence[GWeilDivisor]) -> Scaled:
+    """(D, labels, rows): D is the lcm of the coefficients' denominators,
+    labels the ray labels holding a nonzero coefficient, in increasing
+    order, and rows[k][l] is D times the k-th divisor's coefficient at
+    labels[l]."""
+    entries = [d.entries for d in divisors]
+    scale = lcm(*(c.denominator for e in entries for _, c in e))
+    labels = tuple(sorted({label for e in entries for label, _ in e}))
+    position = {label: l for l, label in enumerate(labels)}
+    rows = []
+    for e in entries:
+        row = [0] * len(labels)
+        for label, c in e:
+            row[position[label]] = c.numerator * (scale // c.denominator)
+        rows.append(tuple(row))
+    return scale, labels, tuple(rows)
+
+
+def chart_exponents(divisors: Sequence[GWeilDivisor], scaled: Scaled, k: int,
+                    fan: Fan, group: GroupData) -> tuple[tuple[int, ...], ...]:
+    """The chart monomial of each divisor on the k-th cone (1-based): the
+    cone's dual basis weighted by the divisor's scaled_coefficients row at
+    the cone's rays, summed and divided by D. NotBasicError unless the rays
+    form a lattice basis (checked on every call), CongruenceViolationError
+    unless each exponent is integral and of its divisor's weight,
+    ValueError unless k is an int in 1..len(fan.cones)."""
     if type(k) is not int or not 1 <= k <= len(fan.cones):
         raise ValueError(f"cone index {k!r} out of range 1..{len(fan.cones)}")
     cone = fan.cones[k - 1]
@@ -177,36 +198,48 @@ def chart_monomial(divisor: GWeilDivisor, k: int, fan: Fan,
             f"cone {cone.labels} is not basic: |det| = {abs(det)}, "
             f"expected {fan.lattice.covolume}"
         )
-    coefficients = [divisor.coefficient(ray.label) for ray in cone.rays]
-    scale = lcm(*(c.denominator for c in coefficients))
-    m = [0] * fan.dim
-    for c, dual in zip(coefficients, cone.dual_basis):
-        if c:
-            n = c.numerator * (scale // c.denominator)
-            m = [a + n * d for a, d in zip(m, dual)]
-    if any(x % scale for x in m):
-        bad = congruence_violations(divisor, fan, group)
-        raise CongruenceViolationError(
-            f"coefficients violate the congruence invariant on rays "
-            f"{bad or cone.labels}; cone {k} exponent is non-integral"
-        )
-    exponent = tuple(x // scale for x in m)
-    weight = group.weight(exponent)
-    if weight != divisor.character:
-        raise CongruenceViolationError(
-            f"cone {k} exponent {exponent} has weight {weight.name}, "
-            f"expected {divisor.character.name}"
-        )
-    return exponent
+    scale, labels, rows = scaled
+    columns = dict(zip(labels, zip(*rows)))
+    zeros = (0,) * len(rows)
+    at_rays = zip(*(columns.get(ray.label, zeros) for ray in cone.rays))
+    duals = tuple(zip(*cone.dual_basis))  # duals[c][r] = dual_basis[r][c]
+    exponents = []
+    for divisor, ints in zip(divisors, at_rays):
+        m = [sum(map(mul, ints, column)) for column in duals]
+        if any(x % scale for x in m):
+            bad = congruence_violations(divisor, fan, group)
+            raise CongruenceViolationError(
+                f"coefficients violate the congruence invariant on rays "
+                f"{bad or cone.labels}; cone {k} exponent is non-integral"
+            )
+        exponent = tuple(x // scale for x in m)
+        char = divisor.character
+        if char.orders != group.orders or fan.dim != group.dim or any(
+                sum(map(mul, w, exponent)) % d != r for w, d, r
+                in zip(group.weights, group.orders, char.residues)):
+            raise CongruenceViolationError(
+                f"cone {k} exponent {exponent} has weight "
+                f"{group.weight(exponent).name}, expected {char.name}"
+            )
+        exponents.append(exponent)
+    return tuple(exponents)
+
+
+def chart_monomial(divisor: GWeilDivisor, k: int, fan: Fan,
+                   group: GroupData) -> tuple[int, ...]:
+    """The Laurent exponent m that cuts out the divisor on the k-th cone
+    (1-based), by chart_exponents and with its errors."""
+    return chart_exponents((divisor,), scaled_coefficients((divisor,)), k,
+                           fan, group)[0]
 
 
 def weil_to_cartier(divisor: GWeilDivisor, fan: Fan,
                     group: GroupData) -> GCartierDivisor:
     """The chart monomial of the divisor on every cone, in cone order."""
+    scaled = scaled_coefficients((divisor,))
     return GCartierDivisor(divisor.character, tuple(
-        chart_monomial(divisor, k, fan, group)
-        for k in range(1, len(fan.cones) + 1)
-    ))
+        chart_exponents((divisor,), scaled, k, fan, group)[0]
+        for k in range(1, len(fan.cones) + 1)))
 
 
 def cartier_to_weil(cartier: GCartierDivisor, fan: Fan,

@@ -1,12 +1,15 @@
 """Hypothesis strategies shared by the property tests: random faithful
 diagonal actions of small abelian groups, with a junior ray and a
-character, and random actions that need not be faithful. Also two
+character, and random actions that need not be faithful. Also three
 builders of test inputs, the denominator that pushes a coefficient off
-the grid and the principal divisor of a monomial, and `shortest_paths`,
-the library's scaled shortest paths as Fractions."""
+the grid, the principal divisor of a monomial and the benchmark's problem
+generator, and `shortest_paths`, the library's scaled shortest paths as
+Fractions."""
 
+import importlib.util
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 from hypothesis import HealthCheck, assume, settings
 from hypothesis import strategies as st
@@ -38,6 +41,17 @@ def principal_divisor(m, fan, group) -> GWeilDivisor:
         group.weight(m),
         {ray.label: pairing(ray, m) for ray in fan.rays},
     )
+
+
+def perfbench_gen():
+    """The benchmark's problem generator, which the package does not
+    import, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen",
+        Path(__file__).resolve().parent.parent / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 def shortest_paths(group, scaled) -> tuple[Fraction, ...]:

@@ -1,6 +1,5 @@
 """End-to-end runs of the gcon command line through cli.main."""
 
-import importlib.util
 import io
 import json
 import os
@@ -34,6 +33,7 @@ from oracles import crepant_by_junior_set
 from strategies import (
     PROPERTIES,
     group_and_ray,
+    perfbench_gen,
     principal_divisor,
     shortest_paths,
 )
@@ -169,16 +169,6 @@ def test_one_cone_problem_of_huge_order_fails_fast(tmp_path, capsys,
     report = json.loads(out)["report"]
     assert report["crepant"] is True
     assert report["nonbasic_cones"] == [1]
-
-
-def perfbench_gen():
-    """The benchmark's problem generator, which the package does not
-    import, loaded from its file."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
 
 
 @pytest.mark.parametrize("orders, weights", [
