@@ -346,8 +346,15 @@ def cmd_enumerate(args, group: GroupData, fan: Fan, _) -> int:
     if args.per_ray:
         _emit_per_ray(enumeration)
         return 0
-    for family in enumeration.sets(limit=args.limit):
-        print(json.dumps(reductor_set_to_json(family)))
+    # each line is json.dumps(reductor_set_to_json(s)) for a set s, from a
+    # head per character and cell texts '"E4": "1/8"' made once per position
+    heads = [f'{{"char": {json.dumps(c.to_json())}, "coeffs": {{'
+             for c in group.characters()]
+    for cells in enumeration.cells(lambda label, q: f'"E{label}": "{q!s}"',
+                                   args.limit):
+        sys.stdout.write('{"divisors": [' + ", ".join(
+            head + ", ".join(c) + "}}" for head, c in zip(heads, cells))
+            + "]}\n")
     return 0
 
 

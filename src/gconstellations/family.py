@@ -20,7 +20,7 @@ from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property
 from math import prod
-from operator import getitem, mul, sub
+from operator import attrgetter, getitem, mod, mul, neg, sub
 
 from .gdivisor import (
     GWeilDivisor,
@@ -38,6 +38,9 @@ from .record import Record
 from .toric import Cone, Fan, Ray
 
 
+_residues = attrgetter("character.residues")
+
+
 class ReductorSet(Record):
     """One chi-divisor per character, sorted by residue tuple."""
 
@@ -45,10 +48,7 @@ class ReductorSet(Record):
 
     @classmethod
     def from_divisors(cls, divisors) -> "ReductorSet":
-        ordered = tuple(
-            sorted(divisors, key=lambda d: d.character.residues)
-        )
-        return cls(ordered)
+        return cls(tuple(sorted(divisors, key=_residues)))
 
     @property
     def characters(self) -> tuple[Character, ...]:
@@ -56,9 +56,8 @@ class ReductorSet(Record):
 
     @property
     def is_normalized(self) -> bool:
-        return all(
-            not d.character.is_trivial or d.is_zero for d in self.divisors
-        )
+        return all(not d.entries or not d.character.is_trivial
+                   for d in self.divisors)
 
     @cached_property
     def scaled(self) -> Scaled:
@@ -241,33 +240,42 @@ def enumerate_per_ray(ray: Ray, group: GroupData) -> PerRayTable:
 
 
 class NormalizedEnumeration(Record):
-    """Per-ray tables plus the total count; sets() streams the sets."""
+    """Per-ray tables and their count; sets() and cells() stream the sets."""
 
     group: GroupData
     tables: tuple[PerRayTable, ...]
     count: int
 
-    def sets(self, limit: int | None = None) -> Iterator[ReductorSet]:
-        chars = self.group.characters()
-        # tables in increasing ray label, the order of entries;
-        # entries[k][c][i] is the entry (label, q) of the k-th of them for
-        # the c-th character at position i, or None when q is 0
+    def cells(self, cell, limit: int | None = None) -> Iterator[list[tuple]]:
+        """The sets in stream order, each as one tuple per character of
+        cell(label, q) for its nonzero coefficients q, in increasing ray
+        label. The product runs over the tables in fan order and reads
+        them in label order. cell must return a true value; it is called
+        once per table, character and position, and a table row's tuple
+        of cells is made on the row's first visit."""
         order = sorted(range(len(self.tables)),
                        key=lambda k: self.tables[k].ray_label)
-        entries = [[tuple((t.ray_label, q) if q else None for q in v)
-                    for v in t.values]
-                   for t in (self.tables[k] for k in order)]
-        combos = itertools.product(*(t.positions for t in self.tables))
+        cells = [[tuple(cell(t.ray_label, q) if q else None for q in v)
+                  for v in t.values] for t in self.tables]
+        made = [[None] * len(t.positions) for t in self.tables]
+        no_rays = [()] * self.group.order  # the one set of a fan without rays
+
+        def make(k: int, i: int) -> tuple:
+            made[k][i] = row = tuple(map(getitem, cells[k],
+                                         self.tables[k].positions[i]))
+            return row
+
+        combos = itertools.product(*(range(len(m)) for m in made))
         if limit is not None:
             combos = itertools.islice(combos, max(limit, 0))
         for combo in combos:
-            rows = [combo[k] for k in order]
-            yield ReductorSet(tuple(
-                GWeilDivisor._trusted(char, tuple(
-                    e for cells, p in zip(entries, rows)
-                    if (e := cells[c][p[c]])))
-                for c, char in enumerate(chars)
-            ))
+            rows = [made[k][combo[k]] or make(k, combo[k]) for k in order]
+            yield [tuple(filter(None, c)) for c in zip(*rows)] or no_rays
+
+    def sets(self, limit: int | None = None) -> Iterator[ReductorSet]:
+        chars = self.group.characters()
+        for cells in self.cells(lambda label, q: (label, q), limit):
+            yield ReductorSet(tuple(map(GWeilDivisor._trusted, chars, cells)))
 
 
 def enumerate_normalized(fan: Fan, group: GroupData) -> NormalizedEnumeration:
@@ -281,46 +289,51 @@ def _unscaled(scale: int, labels: tuple[int, ...], rows: list[list[int]],
               characters: tuple[Character, ...]) -> ReductorSet:
     """The set with the given characters and coefficients rows / D; each
     distinct value becomes a Fraction once."""
-    exact: dict[int, Fraction] = {}
-    divisors = []
-    for char, row in zip(characters, rows):
-        entries = []
-        for label, n in zip(labels, row):
-            if n:
-                if n not in exact:
-                    exact[n] = Fraction(n, scale)
-                entries.append((label, exact[n]))
-        divisors.append(GWeilDivisor._trusted(char, tuple(entries)))
-    return ReductorSet.from_divisors(divisors)
+    exact = {n: Fraction(n, scale) for n in set().union(*rows) if n}
+    return ReductorSet.from_divisors([
+        GWeilDivisor._trusted(char, tuple(zip(
+            itertools.compress(labels, row),
+            map(exact.__getitem__, filter(None, row)))))
+        for char, row in zip(characters, rows)
+    ])
 
 
 def lambda_shift(family: ReductorSet, lam: Character) -> ReductorSet:
     """Tensor the family by the lambda eigenspace: D'_{chi*lam} = D_chi - D_{lam^-1}.
 
     The result at chi is D_{chi*lam^-1} - D_{lam^-1}, of character chi,
-    subtracted on the coefficients scaled by their common denominator.
+    subtracted on the coefficients scaled by their common denominator and
+    found by (residues, orders), the fields that make characters equal.
+    KeyError when lam^-1 or some chi*lam^-1 has no divisor, ValueError
+    when a character is of another group than lam.
     """
     if not family.is_normalized:
         raise ValueError("lambda_shift expects a normalized set")
     chars = family.characters
     scale, labels, rows = family.scaled
-    by_char = dict(zip(chars, rows))
-    lam_inv_char = lam.inverse()
-    lam_inv = by_char[lam_inv_char]  # KeyError when lam^-1 has no divisor
-    return _unscaled(scale, labels, [
-        [a - b for a, b in zip(by_char[char * lam_inv_char], lam_inv)]
-        for char in chars
-    ], chars)
+    by_char = {(c.residues, c.orders): row for c, row in zip(chars, rows)}
+    shift, orders = lam.residues, lam.orders
+    lam_inv = by_char[tuple(map(mod, map(neg, shift), orders)), orders]
+    shifted = []
+    for c in chars:
+        if c.orders != orders:
+            raise ValueError("characters of different groups")
+        shifted.append(list(map(sub, by_char[tuple(map(
+            mod, map(sub, c.residues, shift), orders)), orders], lam_inv)))
+    return _unscaled(scale, labels, shifted, chars)
 
 
 def reflect(family: ReductorSet) -> ReductorSet:
     """The dual family D'_chi = -D_{chi^-1}; an involution, negated on the
-    coefficients scaled by their common denominator."""
+    coefficients scaled by their common denominator and found as in
+    lambda_shift. KeyError when some chi^-1 has no divisor."""
     chars = family.characters
     scale, labels, rows = family.scaled
-    by_char = dict(zip(chars, rows))
+    by_char = {(c.residues, c.orders): row for c, row in zip(chars, rows)}
     return _unscaled(scale, labels, [
-        [-n for n in by_char[char.inverse()]] for char in chars
+        list(map(neg, by_char[tuple(map(mod, map(neg, c.residues),
+                                        c.orders)), c.orders]))
+        for c in chars
     ], chars)
 
 

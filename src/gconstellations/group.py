@@ -76,7 +76,7 @@ class Character(Record):
 
     @property
     def is_trivial(self) -> bool:
-        return all(r == 0 for r in self.residues)
+        return not any(self.residues)
 
     @property
     def name(self) -> str:

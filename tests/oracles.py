@@ -23,8 +23,8 @@ scaled integers: `shortest_paths_fraction` (Dijkstra on Fraction costs),
 `lambda_shift`, `reflect` and `NormalizedEnumeration.sets`. They build
 divisors through the validating constructors and use only Fraction
 arithmetic. The chart layer has three more: `pairing_fraction` (the
-`dot` of a ray's Fraction vector), `chart_exponent_fraction` (the
-Fraction sum of the columns of the inverse ray matrix) and
+`dot` of a ray's Fraction vector), `chart_exponents_fraction` (Fraction
+sums of the columns of the inverse ray matrix) and
 `quiver_fraction` (cone coordinates q_s + e_j - q_t read from the set's
 coefficients), the oracles for `pairing`, `chart_monomial` and `quiver`.
 """
@@ -341,31 +341,34 @@ def pairing_fraction(ray: Ray, m: Sequence) -> Fraction:
     return dot(ray.vector, m)
 
 
-def chart_exponent_fraction(cone: Cone, lattice: LatticeL,
-                            coefficients: Sequence[Fraction]
-                            ) -> Optional[tuple[int, ...]]:
-    """The coefficient-weighted Fraction sum of the columns of the inverse
-    ray matrix; None if it is not integral. The cone must be basic."""
+def chart_exponents_fraction(cone: Cone, lattice: LatticeL,
+                             rows: Sequence[Sequence[Fraction]]
+                             ) -> list[Optional[tuple[int, ...]]]:
+    """Per row of coefficients at the cone's rays, the coefficient-weighted
+    Fraction sum of the columns of the inverse ray matrix, or None if it is
+    not integral. The matrix is inverted once per call; the cone must be
+    basic."""
     _, inverse = det_inverse(cone.matrix)
-    m = [Fraction(0)] * lattice.dim
-    for c, dual in zip(coefficients, zip(*inverse)):
-        if c:
-            m = [a + c * d for a, d in zip(m, dual)]
-    if any(x.denominator != 1 for x in m):
-        return None
-    return tuple(int(x) for x in m)
+    exponents = []
+    for coefficients in rows:
+        m = [Fraction(0)] * lattice.dim
+        for c, dual in zip(coefficients, zip(*inverse)):
+            if c:
+                m = [a + c * d for a, d in zip(m, dual)]
+        exponents.append(None if any(x.denominator != 1 for x in m)
+                         else tuple(int(x) for x in m))
+    return exponents
 
 
 def quiver_fraction(family: ReductorSet, cone: Cone, fan: Fan,
                     group: GroupData) -> QuiverRep:
-    """The quiver with labels p_s + u_j - p_t from chart_exponent_fraction
+    """The quiver with labels p_s + u_j - p_t from chart_exponents_fraction
     and cone coordinates q_s(e) + e_j - q_t(e) from the coefficients."""
     chars = group.characters()
-    exponents = {
-        d.character: chart_exponent_fraction(cone, fan.lattice, [
-            d.coefficient(ray.label) for ray in cone.rays])
-        for d in family.divisors
-    }
+    by_char = {d.character: d for d in family.divisors}
+    exponents = dict(zip(by_char, chart_exponents_fraction(
+        cone, fan.lattice, [[d.coefficient(ray.label) for ray in cone.rays]
+                            for d in by_char.values()])))
     arrows = []
     for d in family.divisors:
         source = d.character
@@ -375,8 +378,7 @@ def quiver_fraction(family: ReductorSet, cone: Cone, fan: Fan,
                 zip(exponents[source], exponents[target])))
             coords = tuple(
                 d.coefficient(ray.label) + ray.vector[j]
-                - {e.character: e
-                   for e in family.divisors}[target].coefficient(ray.label)
+                - by_char[target].coefficient(ray.label)
                 for ray in cone.rays
             )
             arrows.append(QuiverArrow(source, target, j + 1, label, coords))

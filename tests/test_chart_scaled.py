@@ -26,7 +26,7 @@ from gconstellations import (
     weil_to_cartier,
 )
 from gconstellations.cli import load_problem
-from oracles import chart_exponent_fraction, pairing_fraction, quiver_fraction
+from oracles import chart_exponents_fraction, pairing_fraction, quiver_fraction
 from strategies import off_grid_denominator
 
 PROBLEMS = sorted(
@@ -81,8 +81,8 @@ def test_chart_exponents_match_fraction_oracle(case):
                             for ray in cone.rays]
             exponent = chart_monomial(divisor, k, fan, group)
             assert all(type(x) is int for x in exponent)
-            assert exponent == chart_exponent_fraction(cone, fan.lattice,
-                                                       coefficients)
+            assert [exponent] == chart_exponents_fraction(
+                cone, fan.lattice, [coefficients])
 
 
 def test_off_grid_coefficients_give_no_exponent(case):
@@ -96,8 +96,8 @@ def test_off_grid_coefficients_give_no_exponent(case):
                 pushed = GWeilDivisor.from_map(divisor.character, coeffs)
                 coefficients = [pushed.coefficient(r.label)
                                 for r in cone.rays]
-                assert chart_exponent_fraction(cone, fan.lattice,
-                                               coefficients) is None
+                assert chart_exponents_fraction(
+                    cone, fan.lattice, [coefficients]) == [None]
                 with pytest.raises(CongruenceViolationError,
                                    match=f"cone {k} exponent is non-integral"):
                     chart_monomial(pushed, k, fan, group)
@@ -108,11 +108,10 @@ def test_pieces_and_quivers_match_fraction_oracle(case):
     for family in sets:
         for cone in fan.cones:
             piece = reductor_piece(family, cone, fan, group)
-            assert piece.exponents == tuple(
-                chart_exponent_fraction(cone, fan.lattice, [
-                    d.coefficient(ray.label) for ray in cone.rays])
-                for d in family.divisors
-            )
+            assert list(piece.exponents) == chart_exponents_fraction(
+                cone, fan.lattice, [
+                    [d.coefficient(ray.label) for ray in cone.rays]
+                    for d in family.divisors])
             rep = quiver(family, cone, fan, group)
             assert rep == quiver_fraction(family, cone, fan, group)
             assert all(type(c) is Fraction
@@ -125,8 +124,8 @@ def test_weil_cartier_round_trip_matches_fraction_oracle(case):
     for divisor in _divisors(sets):
         cartier = weil_to_cartier(divisor, fan, group)
         assert cartier.exponents == tuple(
-            chart_exponent_fraction(cone, fan.lattice, [
-                divisor.coefficient(ray.label) for ray in cone.rays])
+            chart_exponents_fraction(cone, fan.lattice, [[
+                divisor.coefficient(ray.label) for ray in cone.rays]])[0]
             for cone in fan.cones
         )
         weil = cartier_to_weil(cartier, fan, group)

@@ -1,18 +1,25 @@
 """The set operations that run on scaled integers, checked against their
 Fraction oracles on random faithful groups: shortest paths,
-check_reductor, bounds_check, lambda_shift, reflect and the streamed sets,
-on valid sets and on sets perturbed off the grid, onto an unknown ray,
-past a bound or out of normal form."""
+check_reductor, bounds_check, lambda_shift, reflect, the streamed sets
+and the JSONL stream of `gcon enumerate`, on valid sets and on sets
+perturbed off the grid, onto an unknown ray, past a bound, out of normal
+form, out of residue order or onto a character of another group, and
+with a lambda of another group."""
 
+import argparse
+import contextlib
+import io
+import json
 from fractions import Fraction
 from math import lcm, prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gconstellations import (
     Fan,
+    GroupData,
     GWeilDivisor,
     NormalizedEnumeration,
     Ray,
@@ -21,11 +28,14 @@ from gconstellations import (
     build_lattice,
     canonical_family,
     check_reductor,
+    enumerate_normalized,
     enumerate_per_ray,
     junior_simplex,
     lambda_shift,
+    reductor_set_to_json,
     reflect,
 )
+from gconstellations.cli import cmd_enumerate
 from oracles import (
     bounds_check_fraction,
     check_reductor_fraction,
@@ -42,7 +52,7 @@ from strategies import (
 )
 
 PERTURBATIONS = ("none", "off_grid", "unknown_ray", "upper", "lower",
-                 "trivial", "missing")
+                 "trivial", "missing", "unsorted")
 
 
 @st.composite
@@ -66,7 +76,8 @@ def group_and_fan(draw):
 @st.composite
 def perturbed_sets(draw, kind):
     """(group, fan, set): a normalized set drawn row by row from the
-    per-ray tables, then changed at one coefficient as kind says."""
+    per-ray tables, then changed as kind says: at one coefficient, in its
+    divisor order or in one divisor's character."""
     group, fan = draw(group_and_fan())
     chars = group.characters()
     tables = [enumerate_per_ray(ray, group) for ray in fan.rays]
@@ -96,7 +107,30 @@ def perturbed_sets(draw, kind):
                 for char, cm in zip(chars, coeffs)]
     if kind == "missing" and len(divisors) > 1:
         del divisors[c]
+    elif kind == "unsorted":
+        divisors.reverse()
+    elif kind == "foreign_character":
+        divisors[c] = GWeilDivisor(_doubled(group).character(
+            chars[c].residues), divisors[c].entries)
     return group, fan, ReductorSet(tuple(divisors))
+
+
+def _doubled(group) -> GroupData:
+    """The group's weights under doubled orders: a group of the same
+    dimension whose characters share residues with the group's."""
+    return GroupData(tuple(2 * d for d in group.orders), group.weights)
+
+
+def _labels_out_of_fan_order():
+    """1/8(1,2,5) on three junior rays whose labels run 3, 1, 2 in fan
+    order, built through the API."""
+    group = GroupData.cyclic(8, (1, 2, 5))
+    rays = tuple(Ray(label, v) for label, v
+                 in zip((3, 1, 2), junior_simplex(group)[3:6]))
+    return group, Fan(build_lattice(group), rays, ())
+
+
+LABELS_OUT_OF_FAN_ORDER = _labels_out_of_fan_order()
 
 
 def _outcome(operation, *args):
@@ -129,7 +163,8 @@ def test_checks_match_fraction_oracles(kind, data):
         assert report.passed and bounds.passed
 
 
-@pytest.mark.parametrize("kind", PERTURBATIONS)
+@pytest.mark.parametrize("kind", PERTURBATIONS + ("foreign_lambda",
+                                                  "foreign_character"))
 @SHORT
 @given(data=st.data())
 def test_reflect_and_shift_match_fraction_oracles(kind, data):
@@ -138,8 +173,12 @@ def test_reflect_and_shift_match_fraction_oracles(kind, data):
     assert reflected == _outcome(reflect_fraction, family)
     if isinstance(reflected, ReductorSet):
         assert _exact(reflected)
-        assert reflect(reflected) == family
-    for lam in group.characters():
+        assert reflect(reflected) == ReductorSet.from_divisors(
+            family.divisors)
+    lams = group.characters()
+    if kind == "foreign_lambda":
+        lams = _doubled(group).characters()
+    for lam in lams:
         shifted = _outcome(lambda_shift, family, lam)
         assert shifted == _outcome(lambda_shift_fraction, family, lam)
         if isinstance(shifted, ReductorSet):
@@ -147,6 +186,7 @@ def test_reflect_and_shift_match_fraction_oracles(kind, data):
 
 
 @PROPERTIES
+@example(LABELS_OUT_OF_FAN_ORDER)
 @given(group_and_fan())
 def test_streamed_sets_match_fraction_oracle(case):
     group, fan = case
@@ -160,6 +200,29 @@ def test_streamed_sets_match_fraction_oracle(case):
         for d in family.divisors:
             assert d == GWeilDivisor(d.character, d.entries)
         assert _exact(family)
+
+
+def _stream(group, fan, limit) -> str:
+    """What `gcon enumerate --limit limit` writes on the problem."""
+    args = argparse.Namespace(count_only=False, per_ray=False, limit=limit)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cmd_enumerate(args, group, fan, None) == 0
+    return out.getvalue()
+
+
+@PROPERTIES
+@example(LABELS_OUT_OF_FAN_ORDER)
+@given(group_and_fan())
+def test_stream_lines_are_json_of_fraction_oracle_sets(case):
+    group, fan = case
+    enumeration = enumerate_normalized(fan, group)
+    # past the count the Fraction oracle lists every set
+    assume(enumeration.count <= 2000)
+    for limit in (0, 1, 40, enumeration.count + 1):
+        assert _stream(group, fan, limit) == "".join(
+            json.dumps(reductor_set_to_json(family)) + "\n"
+            for family in sets_fraction(enumeration, limit))
 
 
 COSTS = st.one_of(
