@@ -25,6 +25,7 @@ from operator import attrgetter, getitem, mod, mul, neg, sub
 from .gdivisor import (
     GWeilDivisor,
     Scaled,
+    chart_columns,
     chart_exponents,
     congruence_violations,
     divisor_from_json,
@@ -402,13 +403,13 @@ class ReductorPiece(Record):
 def reductor_piece(family: ReductorSet, cone: Cone, fan: Fan,
                    group: GroupData) -> ReductorPiece:
     """Chart generators p_chi: the chart monomial of each D_chi on the cone."""
-    try:
-        k = fan.cones.index(cone) + 1
-    except ValueError:
-        raise ValueError(
-            f"cone {cone.labels} is not a cone of the fan") from None
+    # identity first, since Record equality compares the cones ray by ray
+    k = next((k for k, known in enumerate(fan.cones, 1) if known is cone), 0)
+    if not k and cone not in fan.cones:
+        raise ValueError(f"cone {cone.labels} is not a cone of the fan")
+    k = k or fan.cones.index(cone) + 1
     return ReductorPiece(cone, family.characters, chart_exponents(
-        family.divisors, family.scaled, k, fan, group))
+        family.divisors, chart_columns(family.scaled, fan), k, fan, group))
 
 
 class QuiverArrow(Record):
@@ -451,31 +452,36 @@ def quiver(family: ReductorSet, cone: Cone, fan: Fan,
     """Arrows chi -> chi * weight(x_j) labeled p_chi + u_j - p_target.
 
     A ray e of the cone pairs with the label to e(p_chi) + e_j - e(p_target),
-    from each exponent's pairing with each ray, made once on the ray's scaled
-    ints; each distinct value becomes a Fraction once. ValueError unless the
-    set has one divisor per character, in residue order.
+    made on the ray's scaled ints for all characters at once, step by step;
+    each distinct value at a ray becomes a Fraction once. ValueError unless
+    the set has one divisor per character, in residue order.
     """
     if list(family.characters) != group.characters():
         raise ValueError(_STRUCTURE_ERROR)
     piece = reductor_piece(family, cone, fan, group)
     chars, exponents = piece.characters, piece.exponents
-    rays = [ray.scaled for ray in cone.rays]
-    dots = [[sum(map(mul, ints, m)) for _, ints in rays] for m in exponents]
-    exact: dict[tuple[int, int], Fraction] = {}
-    arrows = []
-    for i, char in enumerate(chars):
-        for j, t in enumerate(group.steps[i]):
-            label = list(map(sub, exponents[i], exponents[t]))
-            label[j] += 1
-            coords = []
-            for (scale, ints), source, target in zip(rays, dots[i], dots[t]):
-                key = (source + ints[j] - target, scale)
-                if key not in exact:
-                    exact[key] = Fraction(*key)
-                coords.append(exact[key])
-            arrows.append(QuiverArrow(char, chars[t], j + 1, tuple(label),
-                                      tuple(coords)))
-    return QuiverRep(cone, chars, tuple(arrows))
+    steps = list(zip(*group.steps))  # steps[j][i] is group.steps[i][j]
+    # per ray, [j][i] is its coordinate of the arrow from i along x_{j+1}
+    per_ray = []
+    for scale, ints in (ray.scaled for ray in cone.rays):
+        dots = [sum(map(mul, ints, m)) for m in exponents]
+        values = [[s + e - dots[t] for s, t in zip(dots, targets)]
+                  for e, targets in zip(ints, steps)]
+        exact = {v: Fraction(v, scale) for v in set().union(*values)}
+        per_ray.append([list(map(exact.__getitem__, v)) for v in values])
+    arrows = [[] for _ in chars]  # arrows[i]: the arrows out of character i
+    for j, targets in enumerate(steps):
+        labels = zip(*([s - column[t] + (c == j) for s, t in zip(
+            column, targets)] for c, column in enumerate(zip(*exponents))))
+        coordinates = zip(*(at_ray[j] for at_ray in per_ray))
+        for out, char, t, label, coords in zip(
+                arrows, chars, targets, labels, coordinates):
+            arrow = object.__new__(QuiverArrow)  # as GWeilDivisor._trusted
+            arrow.__dict__.update(source=char, target=chars[t],
+                                  coordinate=j + 1, exponent=label,
+                                  cone_coordinates=coords)
+            out.append(arrow)
+    return QuiverRep(cone, chars, tuple(itertools.chain(*arrows)))
 
 
 def quiver_to_dot(rep: QuiverRep) -> str:
@@ -531,9 +537,13 @@ def equivalence_witness(a: ReductorSet, b: ReductorSet, fan: Fan,
     """
     if a.characters != b.characters:
         raise ValueError("families live over different character groups")
-    differences = [db - da for da, db in zip(a.divisors, b.divisors)]
-    first = differences[0]
-    if any(d.entries != first.entries for d in differences[1:]):
+    first = [d - c for c, d in zip(a.divisors, b.divisors[:1])][0]
+    # the others as ints over D_a * D_b: b - a is constant along each label
+    (da, ca, _), (db, cb, _) = (chart_columns(s.scaled, fan) for s in (a, b))
+    zeros = (0,) * len(a.divisors)
+    if any(len({y * da - x * db for x, y in zip(ca.get(label, zeros),
+                                                cb.get(label, zeros))}) > 1
+           for label in ca.keys() | cb.keys()):
         return EquivalenceResult(None, None, False)
     zero = GWeilDivisor(group.trivial_character, ())
     witness = linear_equivalence_witness(zero, first, fan, group)

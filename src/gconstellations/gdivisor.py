@@ -23,6 +23,7 @@ from .toric import Fan, NotBasicError, pairing
 _ZERO = Fraction(0)
 
 Scaled = tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]
+Columns = tuple[int, dict[int, tuple[int, ...]], list[int]]
 
 
 class CongruenceViolationError(ValueError):
@@ -180,48 +181,59 @@ def scaled_coefficients(divisors: Sequence[GWeilDivisor]) -> Scaled:
     return scale, labels, tuple(rows)
 
 
-def chart_exponents(divisors: Sequence[GWeilDivisor], scaled: Scaled, k: int,
-                    fan: Fan, group: GroupData) -> tuple[tuple[int, ...], ...]:
+def chart_columns(scaled: Scaled, fan: Fan) -> Columns:
+    """(D, columns, foreign) from scaled_coefficients: columns[label] is D
+    times each divisor's coefficient there, foreign the labels off the fan."""
+    scale, labels, rows = scaled
+    foreign = sorted(set(labels).difference(ray.label for ray in fan.rays))
+    return scale, dict(zip(labels, zip(*rows))), foreign
+
+
+def chart_exponents(divisors: Sequence[GWeilDivisor], columns: Columns,
+                    k: int, fan: Fan,
+                    group: GroupData) -> tuple[tuple[int, ...], ...]:
     """The chart monomial of each divisor on the k-th cone (1-based): the
-    cone's dual basis weighted by the divisor's scaled_coefficients row at
-    the cone's rays, summed and divided by D. NotBasicError unless the rays
-    form a lattice basis (checked on every call), CongruenceViolationError
-    unless each exponent is integral and of its divisor's weight,
-    ValueError unless k is an int in 1..len(fan.cones)."""
+    cone's dual basis weighted by the divisor's chart_columns entries at its
+    rays, summed and divided by D, one dual column at a time. NotBasicError
+    unless the rays form a lattice basis (checked on every call),
+    CongruenceViolationError on a coefficient off the fan or unless each
+    exponent is integral and of its divisor's weight (the first divisor that
+    is not is named), ValueError unless k is an int in 1..len(fan.cones)."""
     if type(k) is not int or not 1 <= k <= len(fan.cones):
         raise ValueError(f"cone index {k!r} out of range 1..{len(fan.cones)}")
     cone = fan.cones[k - 1]
     det = cone.det_inverse[0]
     # |det| == 1/index, compared on the reduced numerator and denominator
     if det.denominator != fan.lattice.index or abs(det.numerator) != 1:
-        raise NotBasicError(
-            f"cone {cone.labels} is not basic: |det| = {abs(det)}, "
-            f"expected {fan.lattice.covolume}"
-        )
-    scale, labels, rows = scaled
-    columns = dict(zip(labels, zip(*rows)))
-    zeros = (0,) * len(rows)
-    at_rays = zip(*(columns.get(ray.label, zeros) for ray in cone.rays))
-    duals = tuple(zip(*cone.dual_basis))  # duals[c][r] = dual_basis[r][c]
-    exponents = []
-    for divisor, ints in zip(divisors, at_rays):
-        m = [sum(map(mul, ints, column)) for column in duals]
-        if any(x % scale for x in m):
-            bad = congruence_violations(divisor, fan, group)
-            raise CongruenceViolationError(
-                f"coefficients violate the congruence invariant on rays "
-                f"{bad or cone.labels}; cone {k} exponent is non-integral"
-            )
-        exponent = tuple(x // scale for x in m)
-        char = divisor.character
-        if char.orders != group.orders or fan.dim != group.dim or any(
-                sum(map(mul, w, exponent)) % d != r for w, d, r
-                in zip(group.weights, group.orders, char.residues)):
-            raise CongruenceViolationError(
-                f"cone {k} exponent {exponent} has weight "
-                f"{group.weight(exponent).name}, expected {char.name}"
-            )
-        exponents.append(exponent)
+        raise NotBasicError(f"cone {cone.labels} is not basic: |det| = "
+                            f"{abs(det)}, expected {fan.lattice.covolume}")
+    scale, columns, foreign = columns
+    if foreign:
+        raise CongruenceViolationError(
+            f"coefficients on rays {foreign}, which are not in the fan")
+    zeros = (0,) * len(divisors)
+    at_rays = list(zip(*(columns.get(ray.label, zeros) for ray in cone.rays)))
+    # sums[c][i] is D times the c-th entry of the i-th divisor's exponent
+    sums = [[sum(map(mul, q, column)) for q in at_rays]
+            for column in cone.dual_columns]
+    exponents = list(zip(*([x // scale for x in s] for s in sums)))
+    chars = [d.character for d in divisors]
+    weights = [[sum(map(mul, w, m)) % d for m in exponents]
+               for w, d in zip(group.weights, group.orders)]
+    if (fan.dim != group.dim or any(x % scale for s in sums for x in s)
+            or any(c.orders != group.orders for c in chars)
+            or list(zip(*weights)) != [c.residues for c in chars]):
+        for divisor, m, exponent in zip(divisors, zip(*sums), exponents):
+            if any(x % scale for x in m):
+                bad = congruence_violations(divisor, fan, group)
+                raise CongruenceViolationError(
+                    f"coefficients violate the congruence invariant on rays "
+                    f"{bad or cone.labels}; cone {k} exponent is non-integral")
+            weight = group.weight(exponent)
+            if weight != divisor.character:
+                raise CongruenceViolationError(
+                    f"cone {k} exponent {exponent} has weight {weight.name}, "
+                    f"expected {divisor.character.name}")
     return tuple(exponents)
 
 
@@ -229,43 +241,46 @@ def chart_monomial(divisor: GWeilDivisor, k: int, fan: Fan,
                    group: GroupData) -> tuple[int, ...]:
     """The Laurent exponent m that cuts out the divisor on the k-th cone
     (1-based), by chart_exponents and with its errors."""
-    return chart_exponents((divisor,), scaled_coefficients((divisor,)), k,
-                           fan, group)[0]
+    columns = chart_columns(scaled_coefficients((divisor,)), fan)
+    return chart_exponents((divisor,), columns, k, fan, group)[0]
 
 
 def weil_to_cartier(divisor: GWeilDivisor, fan: Fan,
                     group: GroupData) -> GCartierDivisor:
     """The chart monomial of the divisor on every cone, in cone order."""
-    scaled = scaled_coefficients((divisor,))
+    columns = chart_columns(scaled_coefficients((divisor,)), fan)
     return GCartierDivisor(divisor.character, tuple(
-        chart_exponents((divisor,), scaled, k, fan, group)[0]
+        chart_exponents((divisor,), columns, k, fan, group)[0]
         for k in range(1, len(fan.cones) + 1)))
 
 
 def cartier_to_weil(cartier: GCartierDivisor, fan: Fan,
                     group: GroupData) -> GWeilDivisor:
-    """Read off ray coefficients from any cone containing each ray."""
+    """Read off ray coefficients from any cone containing each ray, on ints."""
     if len(cartier.exponents) != len(fan.cones):
         raise ValueError("one exponent per maximal cone required")
+    char = cartier.character
     for k, m in enumerate(cartier.exponents, start=1):
-        if group.weight(m) != cartier.character:
+        if len(m) != group.dim or char.orders != group.orders or any(
+                sum(map(mul, w, m)) % d != r for w, d, r
+                in zip(group.weights, group.orders, char.residues)):
+            group.weight(m)  # ValueError on an exponent of the wrong length
             raise CongruenceViolationError(
-                f"cone {k} exponent {m} does not have weight "
-                f"{cartier.character.name}"
-            )
-    # each ray's valuations of the exponents of the cones containing it
-    values: dict[int, set[Fraction]] = {ray.label: set() for ray in fan.rays}
+                f"cone {k} exponent {m} does not have weight {char.name}")
+    if fan.cones and fan.dim != group.dim:
+        raise ValueError(f"length mismatch: {fan.dim} vs {group.dim}")
+    # each ray's D_e times the valuations of the exponents of its cones
+    values: dict[int, set[int]] = {ray.label: set() for ray in fan.rays}
     for cone, m in zip(fan.cones, cartier.exponents):
         for ray in cone.rays:
-            values[ray.label].add(pairing(ray, m))
+            values[ray.label].add(sum(map(mul, ray.scaled[1], m)))
     bad = [label for label, seen in values.items() if len(seen) > 1]
     if bad:
         raise GluingViolationError(
-            f"exponents disagree along shared rays {bad}"
-        )
-    return GWeilDivisor.from_map(cartier.character, {
-        label: seen.pop() for label, seen in values.items() if seen
-    })
+            f"exponents disagree along shared rays {bad}")
+    return GWeilDivisor._trusted(char, tuple(sorted(
+        (ray.label, Fraction(v, ray.scaled[0]))
+        for ray in fan.rays for v in values[ray.label] if v)))
 
 
 def linear_equivalence_witness(

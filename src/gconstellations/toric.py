@@ -170,6 +170,11 @@ class Cone(Record):
         return tuple(tuple(int(c) for c in column)
                      for column in zip(*inverse))
 
+    @cached_property
+    def dual_columns(self) -> tuple[tuple[int, ...], ...]:
+        """dual_columns[c][r] is dual_basis[r][c], kept on the cone."""
+        return tuple(zip(*self.dual_basis))
+
 
 class Fan(Record):
     """An overlattice together with rays and maximal basic cones."""

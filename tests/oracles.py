@@ -27,6 +27,11 @@ arithmetic. The chart layer has three more: `pairing_fraction` (the
 sums of the columns of the inverse ray matrix) and
 `quiver_fraction` (cone coordinates q_s + e_j - q_t read from the set's
 coefficients), the oracles for `pairing`, `chart_monomial` and `quiver`.
+`cartier_to_weil_fraction` (Character weights, and ray valuations as
+Fractions gathered in sets) and `equivalence_witness_fraction` (every
+difference b - a made by divisor arithmetic) are the earlier library
+`cartier_to_weil` and `equivalence_witness`, kept as they were, errors
+included.
 """
 
 from __future__ import annotations
@@ -41,7 +46,11 @@ from gconstellations import (
     BoundsReport,
     Character,
     Cone,
+    CongruenceViolationError,
+    EquivalenceResult,
     Fan,
+    GCartierDivisor,
+    GluingViolationError,
     GroupData,
     GWeilDivisor,
     LatticeL,
@@ -51,6 +60,8 @@ from gconstellations import (
     Ray,
     ReductorReport,
     ReductorSet,
+    linear_equivalence_witness,
+    pairing,
 )
 from gconstellations.exact import det_inverse
 from gconstellations.family import QuiverArrow
@@ -383,3 +394,47 @@ def quiver_fraction(family: ReductorSet, cone: Cone, fan: Fan,
             )
             arrows.append(QuiverArrow(source, target, j + 1, label, coords))
     return QuiverRep(cone, family.characters, tuple(arrows))
+
+
+def cartier_to_weil_fraction(cartier: GCartierDivisor, fan: Fan,
+                             group: GroupData) -> GWeilDivisor:
+    """Read off ray coefficients from any cone containing each ray."""
+    if len(cartier.exponents) != len(fan.cones):
+        raise ValueError("one exponent per maximal cone required")
+    for k, m in enumerate(cartier.exponents, start=1):
+        if group.weight(m) != cartier.character:
+            raise CongruenceViolationError(
+                f"cone {k} exponent {m} does not have weight "
+                f"{cartier.character.name}"
+            )
+    # each ray's valuations of the exponents of the cones containing it
+    values: dict[int, set[Fraction]] = {ray.label: set() for ray in fan.rays}
+    for cone, m in zip(fan.cones, cartier.exponents):
+        for ray in cone.rays:
+            values[ray.label].add(pairing(ray, m))
+    bad = [label for label, seen in values.items() if len(seen) > 1]
+    if bad:
+        raise GluingViolationError(
+            f"exponents disagree along shared rays {bad}"
+        )
+    return GWeilDivisor.from_map(cartier.character, {
+        label: seen.pop() for label, seen in values.items() if seen
+    })
+
+
+def equivalence_witness_fraction(a: ReductorSet, b: ReductorSet, fan: Fan,
+                                 group: GroupData) -> EquivalenceResult:
+    """The two families differ by tensoring iff D'_chi - D_chi is constant.
+
+    When the constant divisor is principal (monomial witness) the families
+    are isomorphic as sheaves of modules, not just equivalent.
+    """
+    if a.characters != b.characters:
+        raise ValueError("families live over different character groups")
+    differences = [db - da for da, db in zip(a.divisors, b.divisors)]
+    first = differences[0]
+    if any(d.entries != first.entries for d in differences[1:]):
+        return EquivalenceResult(None, None, False)
+    zero = GWeilDivisor(group.trivial_character, ())
+    witness = linear_equivalence_witness(zero, first, fan, group)
+    return EquivalenceResult(first, witness, witness is not None)

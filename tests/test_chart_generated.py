@@ -13,24 +13,40 @@ group), and a cone that is not basic, checked on every call. A group of
 another dimension is refused as GroupData.weight refuses its exponents.
 quiver needs one divisor per character in residue order; reductor_piece
 takes any set.
+
+The Weil -> Cartier -> Weil round trip and equivalence_witness must match
+the earlier Fraction versions in tests/oracles.py on every generated fan,
+and cartier_to_weil must raise their exact errors: an exponent moved by an
+invariant monomial on one cone (only the gluing fails), a wrong weight, a
+short exponent and a character of doubled orders, also on a fan whose ray
+labels fall in fan order (a gluing error lists its rays in fan order).
 """
 
 import random
 from fractions import Fraction
+from math import lcm
+from operator import add
 from pathlib import Path
 
 import pytest
 
 from gconstellations import (
     Character,
+    Cone,
     CongruenceViolationError,
+    Fan,
+    GCartierDivisor,
+    GluingViolationError,
     GroupData,
     GWeilDivisor,
     NotBasicError,
+    Ray,
     ReductorSet,
     canonical_family,
+    cartier_to_weil,
     chart_monomial,
     enumerate_per_ray,
+    equivalence_witness,
     make_fan,
     maximal_shift_family,
     quiver,
@@ -38,8 +54,13 @@ from gconstellations import (
     weil_to_cartier,
 )
 from gconstellations.cli import load_problem
-from oracles import chart_exponents_fraction, quiver_fraction
-from strategies import off_grid_denominator, perfbench_gen
+from oracles import (
+    cartier_to_weil_fraction,
+    chart_exponents_fraction,
+    equivalence_witness_fraction,
+    quiver_fraction,
+)
+from strategies import off_grid_denominator, perfbench_gen, principal_divisor
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -197,3 +218,118 @@ def test_group_of_another_dimension_is_refused(problem):
         with pytest.raises(ValueError,
                            match=f"exponent must have length {fan.dim + 1}"):
             reductor_piece(family, cone, fan, other)
+
+
+def _shifted(family, offset):
+    """The set with offset added to every divisor."""
+    return ReductorSet.from_divisors([d + offset for d in family.divisors])
+
+
+def test_round_trip_and_equivalence_match_fraction_oracles(generated):
+    group, fan, sets = generated
+    for family in sets:
+        for divisor in family.divisors:
+            cartier = weil_to_cartier(divisor, fan, group)
+            weil = cartier_to_weil(cartier, fan, group)
+            assert weil == cartier_to_weil_fraction(cartier, fan, group)
+            assert weil == divisor
+            assert all(type(c) is Fraction for _, c in weil.entries)
+    canonical, maxshift, first, second = sets
+    # integral offsets: the divisor of an invariant monomial, and one
+    # interior ray with coefficient 1, which no monomial cuts out
+    invariant = (lcm(*group.orders),) * fan.dim
+    principal = principal_divisor(invariant, fan, group)
+    interior = next(ray for ray in fan.rays if min(ray.vector) > 0)
+    single = GWeilDivisor(group.trivial_character,
+                          ((interior.label, Fraction(1)),))
+    pairs = [(s, s) for s in sets] + [(canonical, maxshift), (first, second)]
+    expected = [True] * len(sets) + [None, None]
+    for s in sets:
+        pairs += [(s, _shifted(s, principal)), (s, _shifted(s, single))]
+        expected += [True, False]
+    for (a, b), isomorphic in zip(pairs, expected):
+        result = equivalence_witness(a, b, fan, group)
+        assert result == equivalence_witness_fraction(a, b, fan, group)
+        if isomorphic is not None:
+            assert result.equivalent and result.isomorphic == isomorphic
+    assert not equivalence_witness(canonical, maxshift, fan, group).equivalent
+
+
+def _raised(convert, *args):
+    """The class and text of the exception that convert(*args) raises."""
+    with pytest.raises(ValueError) as info:
+        convert(*args)
+    return type(info.value), str(info.value)
+
+
+def _cartier_error_cases(group, fan, divisor):
+    """(expected class, Cartier divisor) pairs, each failing one check."""
+    exponents = weil_to_cartier(divisor, fan, group).exponents
+    char = divisor.character
+    invariant = (lcm(*group.orders),) * fan.dim
+    unit = (1,) + (0,) * (fan.dim - 1)
+
+    def moved(k, change):
+        changed = list(exponents)
+        changed[k] = change(changed[k])
+        return GCartierDivisor(char, changed)
+
+    doubled = Character(char.residues, tuple(2 * d for d in char.orders))
+    cases = [
+        (CongruenceViolationError,
+         moved(len(exponents) // 2, lambda m: tuple(map(add, m, unit)))),
+        (ValueError, moved(len(exponents) - 1, lambda m: m[:-1])),
+        (CongruenceViolationError, GCartierDivisor(doubled, exponents)),
+    ]
+    if len(fan.cones) > 1:  # a single cone shares no ray
+        cases.append((GluingViolationError,
+                      moved(0, lambda m: tuple(map(add, m, invariant)))))
+    return cases
+
+
+def test_cartier_errors_match_fraction_oracle(generated):
+    group, fan, sets = generated
+    for family in sets[:2]:
+        for divisor in family.divisors[:3]:
+            for kind, cartier in _cartier_error_cases(group, fan, divisor):
+                error = _raised(cartier_to_weil_fraction, cartier, fan, group)
+                assert error[0] is kind
+                assert _raised(cartier_to_weil, cartier, fan, group) == error
+
+
+def test_cartier_errors_match_fraction_oracle_on_problems(problem):
+    group, fan, family = problem
+    for divisor in family.divisors:
+        for kind, cartier in _cartier_error_cases(group, fan, divisor):
+            error = _raised(cartier_to_weil_fraction, cartier, fan, group)
+            assert error[0] is kind
+            assert _raised(cartier_to_weil, cartier, fan, group) == error
+
+
+def test_cartier_errors_on_labels_falling_in_fan_order():
+    group, fan, _ = load_problem(str(PROBLEMS / "c8_125.json"))
+    count = len(fan.rays)
+    rays = {ray.label: Ray(10 * (count - i), ray.vector)
+            for i, ray in enumerate(fan.rays)}
+    fan = Fan(fan.lattice, tuple(rays.values()), tuple(
+        Cone(tuple(rays[ray.label] for ray in cone.rays))
+        for cone in fan.cones))
+    for divisor in canonical_family(fan, group).divisors:
+        cartier = weil_to_cartier(divisor, fan, group)
+        assert cartier_to_weil(cartier, fan, group) == divisor
+        assert divisor == cartier_to_weil_fraction(cartier, fan, group)
+        for kind, cartier in _cartier_error_cases(group, fan, divisor):
+            error = _raised(cartier_to_weil_fraction, cartier, fan, group)
+            assert error[0] is kind
+            assert _raised(cartier_to_weil, cartier, fan, group) == error
+
+
+def test_cartier_to_weil_refuses_a_group_of_another_dimension(problem):
+    group, fan, _ = problem
+    other = GroupData.cyclic(group.order, (1,) * (fan.dim + 1))
+    # weight-trivial exponents of the other group's length
+    cartier = GCartierDivisor(other.trivial_character,
+                              [(0,) * (fan.dim + 1)] * len(fan.cones))
+    error = _raised(cartier_to_weil_fraction, cartier, fan, other)
+    assert error == (ValueError, f"length mismatch: {fan.dim} vs {fan.dim + 1}")
+    assert _raised(cartier_to_weil, cartier, fan, other) == error

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gconstellations import (
+    CongruenceViolationError,
     GroupData,
     GWeilDivisor,
     Ray,
@@ -38,7 +39,7 @@ from gconstellations import (
 )
 from gconstellations.cli import load_problem
 from gconstellations.toric import Cone
-from oracles import monomials_of_weight
+from oracles import equivalence_witness_fraction, monomials_of_weight
 from strategies import PROPERTIES, principal_divisor, shortest_paths
 from test_scaled import PERTURBATIONS, SHORT, _outcome, perturbed_sets
 
@@ -643,6 +644,33 @@ def test_equivalence_self(g8, fan8):
     assert res.equivalent
     assert res.isomorphic
     assert res.monomial == (0, 0, 0)
+
+
+def test_label_off_the_fan_fails_charts_and_isomorphism(g8, fan8):
+    fam = canonical_family(fan8, g8)
+    offset = GWeilDivisor(g8.trivial_character, ((99, Q(5)),))
+    other = ReductorSet.from_divisors([d + offset for d in fam.divisors])
+    assert not check_reductor(other, fan8, g8).passed
+    text = r"^coefficients on rays \[99\], which are not in the fan$"
+    for cone in fan8.cones:
+        with pytest.raises(CongruenceViolationError, match=text):
+            reductor_piece(other, cone, fan8, g8)
+        with pytest.raises(CongruenceViolationError, match=text):
+            quiver(other, cone, fan8, g8)
+    # the common difference E99 is no divisor of a monomial on the fan
+    res = equivalence_witness(fam, other, fan8, g8)
+    assert res.equivalent
+    assert not res.isomorphic
+    assert res == equivalence_witness_fraction(fam, other, fan8, g8)
+
+
+def test_reductor_piece_finds_an_equal_cone_built_elsewhere(g8, fan8):
+    fam = canonical_family(fan8, g8)
+    for cone in fan8.cones:
+        copy = Cone(tuple(cone.rays))
+        assert copy is not cone and copy == cone
+        assert reductor_piece(fam, copy, fan8, g8) == reductor_piece(
+            fam, cone, fan8, g8)
 
 
 # serialization -----------------------------------------------------------

@@ -225,6 +225,22 @@ def test_linear_equivalence_witness_incongruent(g8, fan8):
     assert linear_equivalence_witness(a, b, fan8, g8) is None
 
 
+def test_label_off_the_fan_is_refused(g8, fan8):
+    # E99 is no ray of the fan, so no chart monomial carries its coefficient
+    d = GWeilDivisor.from_map(chi(g8, 3), {4: Q(3, 8), 5: Q(6, 8),
+                                           6: Q(4, 8), 7: Q(7, 8)})
+    bad = GWeilDivisor(chi(g8, 3), d.entries + ((99, Q(5)),))
+    assert congruence_violations(bad, fan8, g8) == [99]
+    text = r"^coefficients on rays \[99\], which are not in the fan$"
+    with pytest.raises(CongruenceViolationError, match=text):
+        weil_to_cartier(bad, fan8, g8)
+    for k in range(1, len(fan8.cones) + 1):
+        with pytest.raises(CongruenceViolationError, match=text):
+            chart_monomial(bad, k, fan8, g8)
+    assert linear_equivalence_witness(d, bad, fan8, g8) is None
+    assert linear_equivalence_witness(d, d, fan8, g8) == (0, 0, 0)
+
+
 def test_weil_divisor_rejects_duplicate_label(g8):
     with pytest.raises(ValueError, match="duplicate ray label in divisor"):
         GWeilDivisor(chi(g8, 1), ((4, Q(1, 8)), (4, Q(9, 8))))
