@@ -229,24 +229,29 @@ def _emit(obj) -> None:
 
 def _emit_per_ray(enumeration: NormalizedEnumeration) -> None:
     """Write {"count": ..., "per_ray": [...]} byte for byte as _emit would,
-    one table at a time. json.dumps with an indent runs the pure-Python
-    encoder; here each cell's text is made once per (character, position)
-    and each row is one join. No list is empty: a valid fan has rays, and
-    every table holds the row of the maximal-shift family."""
+    one row at a time, so no table's text is ever held whole. json.dumps
+    with an indent runs the pure-Python encoder; here each cell's text is
+    made once per (character, position) and each row is one join. No list
+    is empty: a valid fan has rays, and every table holds the row of the
+    maximal-shift family."""
     write = sys.stdout.write
     write(f'{{\n  "count": {enumeration.count},\n  "per_ray": [')
-    # a row sits at depth 4 of the payload and its cells at depth 5
-    head, sep, tail = "[\n" + " " * 10, ",\n" + " " * 10, "\n" + " " * 8 + "]"
+    # a row sits at depth 4 of the payload and its cells at depth 5; its
+    # text opens with the comma after the row before it
+    head = ",\n" + " " * 8 + "[\n" + " " * 10
+    sep, tail = ",\n" + " " * 10, "\n" + " " * 8 + "]"
     for n, table in enumerate(enumeration.tables):
         cells = [[json.dumps(str(q)) for q in v] for v in table.values]
-        rows = ",\n        ".join(
-            head + sep.join(map(getitem, cells, p)) + tail
-            for p in table.positions)
         chars = json.dumps([c.to_json() for c in table.characters], indent=2)
         write(("," if n else "")
               + '\n    {\n      "ray": ' + json.dumps(f"E{table.ray_label}")
               + ',\n      "characters": ' + chars.replace("\n", "\n      ")
-              + ',\n      "rows": [\n        ' + rows + "\n      ]\n    }")
+              + ',\n      "rows": [')
+        opener = head[1:]
+        for p in table.positions:
+            write(opener + sep.join(map(getitem, cells, p)) + tail)
+            opener = head
+        write("\n      ]\n    }")
     write("\n  ]\n}\n")
 
 

@@ -163,12 +163,14 @@ def maximal_shift_family(fan: Fan, group: GroupData) -> ReductorSet:
 class PerRayTable(Record):
     """All admissible coefficient rows at one ray, in lexicographic order,
     kept as positions: a row p gives the k-th character the coefficient
-    values[k][p[k]], where values[k] lists its candidates from low to high."""
+    values[k][p[k]], where values[k] lists its candidates from low to high.
+    A row is bytes when every values[k] has at most 256 entries, else a
+    tuple of ints; both index alike."""
 
     ray_label: int
     characters: tuple[Character, ...]
     values: tuple[tuple[Fraction, ...], ...]
-    positions: tuple[tuple[int, ...], ...]
+    positions: tuple[bytes | tuple[int, ...], ...]
 
     @cached_property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -185,7 +187,8 @@ def enumerate_per_ray(ray: Ray, group: GroupData) -> PerRayTable:
     x_j from s to t, q_s + e_j - q_t >= 0 reads c_t <= c_s + b with
     b = low_s + e_j - low_t. The bounds are scaled by the common denominator
     D of the ray, and only the candidate values q_chi become Fractions. One
-    loop assigns the characters in order; each row is kept as its positions.
+    loop assigns the characters in order; each row is kept as its positions,
+    packed as bytes when every character has at most 256 candidates.
     """
     chars = group.characters()
     count = len(chars)
@@ -210,13 +213,14 @@ def enumerate_per_ray(ray: Ray, group: GroupData) -> PerRayTable:
             uppers[t].append((s, b // scale))
         elif t < s:
             lowers[s].append((t, b // scale))
-    positions: list[tuple[int, ...]] = []
+    pack = bytes if all(len(v) <= 256 for v in candidates) else tuple
+    positions: list[bytes | tuple[int, ...]] = []
     c = [0] * count    # current position per character
     top = [0] * count  # largest admissible position given the earlier ones
     k = 0
     while k >= 0:
         if k == count:
-            positions.append(tuple(c))
+            positions.append(pack(c))
         else:
             lo, hi = 0, len(candidates[k]) - 1
             for t, b in lowers[k]:

@@ -64,4 +64,11 @@ def test_per_ray_search_matches_recursive_dfs(case):
     shifts = shortest_paths(group, ray.scaled)
     assume(sum(shifts[i] + shifts[j] for i, j in enumerate(group.inverses))
            <= 40)
-    assert enumerate_per_ray(ray, group) == enumerate_per_ray_dfs(ray, group)
+    # the oracle keeps tuple rows whatever the library packs them as, so
+    # the rows are compared as tuples and every other field as it is
+    table = enumerate_per_ray(ray, group)
+    oracle = enumerate_per_ray_dfs(ray, group)
+    assert table.ray_label == oracle.ray_label
+    assert table.characters == oracle.characters
+    assert table.values == oracle.values
+    assert tuple(map(tuple, table.positions)) == oracle.positions

@@ -407,6 +407,49 @@ def test_per_ray_writer_matches_json_dumps(case):
     assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
 
 
+class RecordingStdout(io.StringIO):
+    """A stdout that keeps every string written to it, one per call."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return super().write(text)
+
+
+def per_ray_payload(enumeration) -> dict:
+    """The --per-ray payload built from the Fraction rows."""
+    return {
+        "count": enumeration.count,
+        "per_ray": [{
+            "ray": f"E{t.ray_label}",
+            "characters": [c.to_json() for c in t.characters],
+            "rows": [[str(q) for q in row] for row in t.rows],
+        } for t in enumeration.tables],
+    }
+
+
+@pytest.mark.parametrize("chain", [False, True], ids=["c8_125", "a9"])
+def test_per_ray_is_written_row_by_row(tmp_path, chain):
+    path = crepant_chain_file(tmp_path, 9) if chain else RUNNING
+    out = RecordingStdout()
+    with redirect_stdout(out):
+        assert main(["enumerate", "--input", path, "--per-ray"]) == 0
+    group, fan, _ = load_problem(path)
+    enumeration = enumerate_normalized(fan, group)
+    assert "".join(out.writes) == (
+        json.dumps(per_ray_payload(enumeration), indent=2) + "\n")
+    # a row opens with a bracket and its first cell, a quoted string, at
+    # depth 5; a character's list of residues opens the same way but
+    # holds ints
+    opener = "[\n" + " " * 10 + '"'
+    assert max(text.count(opener) for text in out.writes) == 1
+    rows = sum(len(t.positions) for t in enumeration.tables)
+    assert sum(text.count(opener) for text in out.writes) == rows
+
+
 @pytest.mark.parametrize("mode", [("--count-only",), ("--per-ray",),
                                   ("--limit", "100")])
 def test_enumerate_never_builds_fraction_rows(capsys, monkeypatch, mode):

@@ -15,6 +15,7 @@ from gconstellations import (
     CongruenceViolationError,
     GroupData,
     GWeilDivisor,
+    PerRayTable,
     Ray,
     ReductorSet,
     bounds_check,
@@ -39,7 +40,11 @@ from gconstellations import (
 )
 from gconstellations.cli import load_problem
 from gconstellations.toric import Cone
-from oracles import equivalence_witness_fraction, monomials_of_weight
+from oracles import (
+    enumerate_per_ray_dfs,
+    equivalence_witness_fraction,
+    monomials_of_weight,
+)
 from strategies import PROPERTIES, principal_divisor, shortest_paths
 from test_scaled import PERTURBATIONS, SHORT, _outcome, perturbed_sets
 
@@ -266,6 +271,37 @@ def test_sets_read_positions_not_rows(g8, fan8):
     enum = enumerate_normalized(fan8, g8)
     assert len(list(enum.sets(limit=100))) == 100
     assert not any("rows" in vars(t) for t in enum.tables)
+
+
+def test_per_ray_rows_are_bytes_up_to_256_candidates(g8, fan8):
+    for ray in fan8.rays:
+        table = enumerate_per_ray(ray, g8)
+        assert all(len(v) <= 256 for v in table.values)
+        assert all(type(p) is bytes for p in table.positions)
+
+
+@pytest.mark.parametrize("a, packed", [(Q(255, 2), bytes), (Q(128), tuple),
+                                       (Q(300), tuple)])
+def test_per_ray_rows_are_tuples_past_256_candidates(a, packed):
+    # 1/2(1,1) at (a, a): the nontrivial character has the 2a + 1
+    # candidates -a..a, and past 256 a position does not fit in a byte
+    group, ray = GroupData.cyclic(2, (1, 1)), Ray(1, (a, a))
+    table = enumerate_per_ray(ray, group)
+    assert max(map(len, table.values)) == 2 * a + 1
+    assert {type(p) for p in table.positions} == {packed}
+    assert set(table.rows) == brute_force_rows(ray, group)
+    oracle = enumerate_per_ray_dfs(ray, group)
+    assert tuple(map(tuple, table.positions)) == oracle.positions
+    assert (table == oracle) is (packed is tuple)
+
+
+def test_per_ray_packing_is_part_of_the_record(g8, fan8):
+    table = enumerate_per_ray(fan8.rays[6], g8)
+    unpacked = PerRayTable(table.ray_label, table.characters, table.values,
+                           tuple(map(tuple, table.positions)))
+    assert unpacked.rows == table.rows
+    assert unpacked != table
+    assert hash(table) == hash(enumerate_per_ray(fan8.rays[6], g8))
 
 
 def test_per_ray_reflection_closure(g8, fan8):
