@@ -1,7 +1,6 @@
 """Exact classification of deformation families of the generic orbit on
 toric resolutions of abelian quotient singularities."""
 
-from .exact import det_inverse
 from .family import (
     BoundsReport,
     EquivalenceResult,

@@ -544,3 +544,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def console_main():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -15,10 +15,9 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .exact import rational
 from .group import Character, GroupData
 from .record import Record
-from .toric import Fan, NotBasicError, pairing
+from .toric import Fan, NotBasicError, pairing, rational
 
 _ZERO = Fraction(0)
 
@@ -202,11 +201,11 @@ def chart_exponents(divisors: Sequence[GWeilDivisor], columns: Columns,
     if type(k) is not int or not 1 <= k <= len(fan.cones):
         raise ValueError(f"cone index {k!r} out of range 1..{len(fan.cones)}")
     cone = fan.cones[k - 1]
-    det = cone.det_inverse[0]
-    # |det| == 1/index, compared on the reduced numerator and denominator
-    if det.denominator != fan.lattice.index or abs(det.numerator) != 1:
+    d = abs(cone.det_adjugate[0])  # |det| = d / cone.scale, basic at 1/index
+    if d * fan.lattice.index != cone.scale:
         raise NotBasicError(f"cone {cone.labels} is not basic: |det| = "
-                            f"{abs(det)}, expected {fan.lattice.covolume}")
+                            f"{Fraction(d, cone.scale)}, expected "
+                            f"{fan.lattice.covolume}")
     scale, columns, foreign = columns
     if foreign:
         raise CongruenceViolationError(

@@ -6,9 +6,11 @@ cones inside the positive orthant of L; the valuation of a monomial x^m along
 the divisor of a ray e is the plain dot product e(m).
 
 Rays are stored in standard coordinates (denominators dividing |G|), so every
-pairing is a direct dot product. The chart layer runs on integers: each ray
-keeps its vector scaled by its common denominator, and each basic cone keeps
-its integer dual basis.
+pairing is a direct dot product. Everything below the boundary runs on
+integers: each ray keeps its vector scaled by its common denominator, and one
+fraction-free elimination, `det_adjugate`, gives the determinant and adjugate
+of the lattice's scaled basis and of each cone's scaled ray matrix. Fractions
+are made only for values a caller reads.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from functools import cached_property
 from math import gcd, lcm, prod
 from operator import mul
 
-from . import exact
-from .exact import rational
 from .group import GroupData
 from .record import Record
 
@@ -32,32 +32,74 @@ class NotBasicError(ValueError):
     """A cone whose rays do not form a lattice basis was used as a chart."""
 
 
+def rational(x, what: str) -> Fraction:
+    """x as a Fraction; ValueError unless x is a Fraction or an int other
+    than a bool, since Fraction() would take a float at its binary value,
+    True as 1 and a string of any length."""
+    if type(x) is not int and not isinstance(x, Fraction):
+        raise ValueError(f"{what} must be int or Fraction, not {x!r}")
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def _vec(values: Sequence) -> Vector:
     return tuple(rational(v, "coordinates") for v in values)
 
 
+def det_adjugate(rows: Sequence[Sequence[int]]
+                 ) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
+    """(det, adj) of a square int matrix A, A·adj == det·I, from one
+    fraction-free Gauss-Jordan elimination of [A | I] (Bareiss, Math. Comp.
+    22, 1968); adj is None exactly when det is zero. Each entry is a minor
+    of the row-swapped [A | I], so every division is exact, and the end is
+    [c·I | c·A^-1] with c the determinant up to the sign of the swaps."""
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square and non-empty")
+    aug = [[*row, *(int(i == j) for j in range(n))]
+           for i, row in enumerate(rows)]
+    sign, previous = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if aug[r][k]), None)
+        if pivot is None:
+            return 0, None
+        if pivot != k:
+            aug[k], aug[pivot], sign = aug[pivot], aug[k], -sign
+        top = aug[k]
+        aug = [row if row is top else [(top[k] * a - row[k] * b) // previous
+                                       for a, b in zip(row, top)]
+               for row in aug]
+        previous = top[k]
+    return sign * previous, tuple(tuple(sign * x for x in row[n:])
+                                  for row in aug)
+
+
 class LatticeL(Record):
-    """An overlattice of the dual of Z^n, given by basis rows."""
+    """An overlattice of the dual of Z^n, given by basis rows. Inside, the
+    rows are ints over their common denominator S with determinant d and
+    adjugate adj: the basis has determinant d / S^n and inverse S·adj / d."""
 
     basis: tuple[Vector, ...]
 
     def __init__(self, basis: Sequence[Sequence]) -> None:
         basis = tuple(_vec(row) for row in basis)
-        d, inverse = exact.det_inverse(basis)
-        if inverse is None:
+        scale = lcm(*(x.denominator for row in basis for x in row))
+        d, adj = det_adjugate([[x.numerator * (scale // x.denominator)
+                                for x in row] for row in basis])
+        if adj is None:
             raise ValueError("lattice basis is singular")
-        index = Fraction(1) / abs(d)
-        if index.denominator != 1:
+        index, remainder = divmod(scale ** len(basis), abs(d))  # 1/|det|
+        if remainder:
             raise ValueError(
                 "basis does not generate an overlattice of the dual of Z^n "
-                f"(1/|det| = {index} is not an integer)"
-            )
+                f"(1/|det| = {Fraction(scale ** len(basis), abs(d))} is not "
+                "an integer)")
+        columns = tuple(tuple(scale * a for a in c) for c in zip(*adj))
         # L contains Z^n exactly when the unit vectors' coordinates are ints
-        if any(x.denominator != 1 for row in inverse for x in row):
+        if any(a % d for column in columns for a in column):
             raise ValueError("basis does not generate an overlattice of the "
                              "dual of Z^n (the inverse basis is not integral)")
-        self.__dict__.update(basis=basis, _inverse=inverse,
-                             _index=int(index))
+        self.__dict__.update(basis=basis, _columns=columns, _det=d,
+                             _index=index)
 
     @property
     def dim(self) -> int:
@@ -72,16 +114,23 @@ class LatticeL(Record):
     def covolume(self) -> Fraction:
         return Fraction(1, self.index)
 
+    def scaled_coordinates(self, scale: int, ints: Sequence[int]
+                           ) -> tuple[list[int], int]:
+        """(numerators, denominator): the coefficients in the basis rows of
+        the vector ints / scale are the numerators over the denominator."""
+        columns = self._columns  # type: ignore[attr-defined]
+        return ([sum(map(mul, ints, column)) for column in columns],
+                scale * self._det)  # type: ignore[attr-defined]
+
     def coordinates(self, v: Sequence) -> Vector:
         """Coefficients of v in the basis rows."""
-        inv = self._inverse  # type: ignore[attr-defined]
         w = _vec(v)
         if len(w) != self.dim:
             raise ValueError(f"length mismatch: {self.dim} vs {len(w)}")
-        return tuple(
-            sum((w[i] * inv[i][j] for i in range(self.dim)), Fraction(0))
-            for j in range(self.dim)
-        )
+        scale = lcm(*(x.denominator for x in w))
+        numerators, d = self.scaled_coordinates(
+            scale, [x.numerator * (scale // x.denominator) for x in w])
+        return tuple(Fraction(x, d) for x in numerators)
 
 
 def build_lattice(group: GroupData) -> LatticeL:
@@ -149,26 +198,30 @@ class Cone(Record):
         return tuple(r.label for r in self.rays)
 
     @property
-    def matrix(self) -> tuple[Vector, ...]:
-        return tuple(r.vector for r in self.rays)
+    def scale(self) -> int:
+        """The product of the rays' denominators D_i."""
+        return prod(ray.scaled[0] for ray in self.rays)
 
     @cached_property
-    def det_inverse(self) -> tuple[Fraction, tuple[Vector, ...] | None]:
-        """Determinant and inverse of the ray matrix, eliminated on first
-        use and kept on the cone."""
-        return exact.det_inverse(self.matrix)
+    def det_adjugate(self) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
+        """(d, adj) of the scaled ray matrix, whose rows are the rays'
+        Ray.scaled ints, eliminated on first use and kept on the cone. The
+        ray matrix has determinant d / scale and inverse entries
+        adj[r][c]·D_c / d."""
+        return det_adjugate([ray.scaled[1] for ray in self.rays])
 
     @cached_property
     def dual_basis(self) -> tuple[tuple[int, ...], ...]:
         """The columns of the inverse ray matrix as integer vectors, built
         on first use and kept on the cone; NotBasicError if not integral."""
-        _, inverse = self.det_inverse
-        if inverse is None or any(c.denominator != 1
-                                  for row in inverse for c in row):
-            raise NotBasicError(
-                f"cone {self.labels}: dual basis is not integral")
-        return tuple(tuple(int(c) for c in column)
-                     for column in zip(*inverse))
+        d, adj = self.det_adjugate
+        if adj is not None:
+            columns = [[a * ray.scaled[0] for a in column]
+                       for column, ray in zip(zip(*adj), self.rays)]
+            if not any(x % d for column in columns for x in column):
+                return tuple(tuple(x // d for x in column)
+                             for column in columns)
+        raise NotBasicError(f"cone {self.labels}: dual basis is not integral")
 
     @cached_property
     def dual_columns(self) -> tuple[tuple[int, ...], ...]:
@@ -284,11 +337,10 @@ def x_valuation_on_X(lattice: LatticeL, axis: int) -> Fraction:
     """
     if type(axis) is not int or not 1 <= axis <= lattice.dim:
         raise ValueError(f"axis {axis!r} must be an int in 1..{lattice.dim}")
-    row = lattice._inverse[axis - 1]  # type: ignore[attr-defined]
-    # c * row is integral exactly for c in (lcm of denominators / gcd of
-    # numerators) * Z
-    return Fraction(lcm(*(w.denominator for w in row)),
-                    gcd(*(w.numerator for w in row)))
+    # the unit vector has coordinates row / d, and c * row / d is integral
+    row, d = lattice.scaled_coordinates(
+        1, [int(i == axis - 1) for i in range(lattice.dim)])
+    return Fraction(abs(d), gcd(*row))  # exactly for c in |d| / gcd(row) * Z
 
 
 class FanValidationReport(Record):
@@ -304,12 +356,8 @@ class FanValidationReport(Record):
 
     @property
     def passed(self) -> bool:
-        return (
-            not self.ray_errors
-            and not self.nonbasic_cones
-            and not self.face_violations
-            and self.coverage is not False
-        )
+        return not (self.ray_errors or self.nonbasic_cones
+                    or self.face_violations) and self.coverage is not False
 
     def to_json(self) -> dict:
         return {
@@ -339,24 +387,23 @@ def validate_fan(fan: Fan) -> FanValidationReport:
     n = fan.dim
     ray_errors = []
     for ray in fan.rays:
-        coords = lattice.coordinates(ray.vector)
-        if any(x < 0 for x in ray.vector):
+        scale, ints = ray.scaled
+        coords, denominator = lattice.scaled_coordinates(scale, ints)
+        if any(x < 0 for x in ints):
             ray_errors.append(f"{ray.name} has a negative coordinate")
-        elif any(c.denominator != 1 for c in coords):
+        elif any(c % denominator for c in coords):
             ray_errors.append(f"{ray.name} is not a lattice point")
-        elif gcd(*(c.numerator for c in coords)) != 1:
+        elif gcd(*(c // denominator for c in coords)) != 1:
             ray_errors.append(f"{ray.name} is not primitive in the lattice")
     used = {label for cone in fan.cones for label in cone.labels}
-    warnings = [
-        f"{ray.name} does not occur in any maximal cone"
-        for ray in fan.rays if ray.label not in used
-    ]
+    warnings = [f"{ray.name} does not occur in any maximal cone"
+                for ray in fan.rays if ray.label not in used]
 
-    determinants = [cone.det_inverse[0] for cone in fan.cones]
-    nonbasic = [k for k, d in enumerate(determinants, start=1)
-                if abs(d) != lattice.covolume]
-    basic = [k for k, d in enumerate(determinants, start=1)
-             if abs(d) == lattice.covolume]
+    # a cone's determinant is d / scale: basic when |d| / scale is 1 / index
+    is_basic = [abs(cone.det_adjugate[0]) * lattice.index == cone.scale
+                for cone in fan.cones]
+    nonbasic = [k for k, b in enumerate(is_basic, start=1) if not b]
+    basic = [k for k, b in enumerate(is_basic, start=1) if b]
 
     # facet (labels of n-1 rays) -> (1-based cone index, position of apex)
     facets: dict[frozenset[int], list[tuple[int, int]]] = {}
@@ -364,36 +411,41 @@ def validate_fan(fan: Fan) -> FanValidationReport:
         labels = fan.cones[k - 1].labels
         for apex, label in enumerate(labels):
             facets.setdefault(frozenset(labels) - {label}, []).append(
-                (k, apex)
-            )
+                (k, apex))
     violations = set()
     for sharing in facets.values():
         for (a, i), (b, j) in itertools.combinations(sharing, 2):
-            # b's apex has a positive coordinate along a's apex: same side
-            column = [row[i] for row in fan.cones[a - 1].det_inverse[1]]
-            if sum(map(mul, fan.cones[b - 1].rays[j].vector, column)) > 0:
+            # b's apex has a positive coordinate ints·adj[:, i]·D_i / (d·D)
+            # along a's apex (same side) when ints·adj[:, i]·d > 0
+            d, adj = fan.cones[a - 1].det_adjugate
+            ints = fan.cones[b - 1].rays[j].scaled[1]
+            if sum(x * row[i] for x, row in zip(ints, adj)) * d > 0:
                 violations.add((a, b))
     face_violations = sorted(violations)
 
     # on a passing fan each junior point is a sum of the rays of its basic
     # cone with int weights >= 0 summing to 1, so the rays are all of them
-    crepant = not (ray_errors or any(discrepancy(r.vector) for r in fan.rays))
-    coverage: bool | None
+    crepant = not (ray_errors or any(sum(r.scaled[1]) != r.scaled[0]
+                                     for r in fan.rays))
+    coverage: bool | None = None
     if ray_errors or nonbasic or face_violations:
-        coverage = None
         warnings.append("support coverage not checked (earlier failures)")
     else:
-        vectors = {r.label: r.vector for r in fan.rays}
+        vectors = {r.label: r.scaled[1] for r in fan.rays}
         boundary_on_walls = all(
             any(all(vectors[label][i] == 0 for label in facet)
                 for i in range(n))
             for facet, sharing in facets.items() if len(sharing) == 1
         )
-        volume = sum(
-            abs(d) / prod(sum(vector) for vector in cone.matrix)
-            for d, cone in zip(determinants, fan.cones)
-        )
-        coverage = boundary_on_walls and volume == 1
+        # a cone's volume |det| / prod(sum(vector)) is |d| / prod(sum(ints))
+        volumes = [(abs(cone.det_adjugate[0]),
+                    prod(sum(ray.scaled[1]) for ray in cone.rays))
+                   for cone in fan.cones]
+        common = lcm(*(v for _, v in volumes))
+        coverage = boundary_on_walls and sum(
+            d * (common // v) for d, v in volumes) == common
+    determinants = tuple(Fraction(cone.det_adjugate[0], cone.scale)
+                         for cone in fan.cones)
     return FanValidationReport(
-        tuple(ray_errors), tuple(determinants), tuple(nonbasic),
+        tuple(ray_errors), determinants, tuple(nonbasic),
         tuple(face_violations), crepant, coverage, tuple(warnings))

@@ -1,0 +1,152 @@
+"""Mutation check: each record breaks one spot of the library in a copy of
+`src/`, and the test files it names must then fail.
+
+    python tests/mutants.py            # every record
+    python tests/mutants.py NAME ...   # only the named records
+
+For each record the script copies `src/` into a temporary directory,
+replaces the record's old text, which must occur in its file exactly once,
+by the new text, and runs pytest with `-x` on the named test files with the
+copy first on PYTHONPATH. The record is killed when pytest exits nonzero.
+Before any mutant runs, every old text is looked up, so a record cannot go
+stale in silence, and the named test files must pass on an unedited copy,
+so a failure of their own is not read as a kill. The exit status is 0 only
+when every old text is found exactly once and every mutant is killed.
+Standard library only; it takes a minute or two.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path("gconstellations")
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str                   # a module of the package
+    old: str                    # exact text, found once in the file
+    new: str
+    killers: tuple[str, ...]    # test files that must fail, from the root
+
+
+MUTANTS = (
+    # the integer elimination and the integer fan checks
+    Mutant("no sign flip on a row swap", "toric.py",
+           "aug[k], aug[pivot], sign = aug[pivot], aug[k], -sign",
+           "aug[k], aug[pivot] = aug[pivot], aug[k]",
+           ("tests/test_det_adjugate.py",)),
+    Mutant("no exact division by the previous pivot", "toric.py",
+           "row[k] * b) // previous", "row[k] * b)",
+           ("tests/test_det_adjugate.py",)),
+    Mutant("no divisibility check in dual_basis", "toric.py",
+           "if not any(x % d for column in columns for x in column):",
+           "if True:",
+           ("tests/test_det_adjugate.py",)),
+    Mutant("facet side test blind to the sign of d", "toric.py",
+           "for x, row in zip(ints, adj)) * d > 0:",
+           "for x, row in zip(ints, adj)) > 0:",
+           ("tests/test_det_adjugate.py",)),
+    Mutant("no abs in the volume sum", "toric.py",
+           "volumes = [(abs(cone.det_adjugate[0]),",
+           "volumes = [(cone.det_adjugate[0],",
+           ("tests/test_det_adjugate.py",)),
+    Mutant("no lattice point check", "toric.py",
+           "elif any(c % denominator for c in coords):", "elif False:",
+           ("tests/test_toric.py",)),
+    # three earlier fast paths
+    Mutant("bytes rows for 256 candidates only below 256", "family.py",
+           "pack = bytes if all(len(v) <= 256 for v in candidates)",
+           "pack = bytes if all(len(v) < 256 for v in candidates)",
+           ("tests/test_family.py",)),
+    Mutant("no orders check in lambda_shift", "family.py",
+           "        if c.orders != orders:\n            raise ValueError("
+           "\"characters of different groups\")\n",
+           "",
+           ("tests/test_scaled.py",)),
+    Mutant("no covolume check in chart_exponents", "gdivisor.py",
+           "    if d * fan.lattice.index != cone.scale:",
+           "    if False:",
+           ("tests/test_chart_generated.py",)),
+)
+
+
+def stale(mutants) -> list[str]:
+    """One line per record whose old text is not in its file exactly once."""
+    lines = []
+    for m in mutants:
+        count = (ROOT / "src" / PACKAGE / m.file).read_text(
+            encoding="utf-8").count(m.old)
+        if count != 1:
+            lines.append(f"stale: {m.name!r}: old text found {count} times "
+                         f"in {m.file}")
+    return lines
+
+
+def pytest(src: Path, files) -> tuple[int, str, float]:
+    """(exit code, output tail, seconds) of pytest -x on the test files
+    with src first on PYTHONPATH."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         *files],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    tail = "\n".join(done.stdout.splitlines()[-5:])
+    return done.returncode, tail, time.perf_counter() - start
+
+
+def copy_src(into: Path) -> Path:
+    src = into / "src"
+    shutil.copytree(ROOT / "src" / PACKAGE, src / PACKAGE,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def main(names) -> int:
+    mutants = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    problems = [f"unknown record: {name!r}" for name in sorted(unknown)]
+    problems += stale(mutants)
+    if problems:
+        print("\n".join(problems))
+        return 1
+    with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
+        src = copy_src(Path(scratch) / "clean")
+        files = sorted({f for m in mutants for f in m.killers})
+        code, tail, seconds = pytest(src, files)
+        if code:
+            print(f"the named test files fail on the unedited source:\n{tail}")
+            return 1
+        print(f"unedited source passes {len(files)} files in {seconds:.1f} s")
+        survivors = 0
+        for k, m in enumerate(mutants):
+            src = copy_src(Path(scratch) / str(k))
+            path = src / PACKAGE / m.file
+            path.write_text(path.read_text(encoding="utf-8").replace(
+                m.old, m.new), encoding="utf-8")
+            code, tail, seconds = pytest(src, m.killers)
+            if code:
+                print(f"killed   {m.name} ({seconds:.1f} s)")
+            else:
+                survivors += 1
+                print(f"SURVIVED {m.name}: {', '.join(m.killers)} pass\n"
+                      f"{tail}")
+            shutil.rmtree(src)
+    print(f"{len(mutants) - survivors} of {len(mutants)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,7 +1,10 @@
 """Brute-force reference helpers that only the tests use.
 
 `dot` and `mat_mul` multiply exact vectors and matrices, the second to
-check inverses; `hermite_normal_form` is the general row-style Hermite
+check inverses; `ray_matrix` is a cone's Fraction ray matrix;
+`det_inverse` is the Fraction Gauss-Jordan elimination, the oracle for
+`det_adjugate`, and `validate_fan_fraction` the Fraction `validate_fan`
+built on it; `hermite_normal_form` is the general row-style Hermite
 normal form of an integer matrix, the oracle for `build_lattice`; `frac`
 is the fractional part of a rational;
 `junior_by_closure` closes the lattice basis under addition mod 1, the
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -49,6 +53,7 @@ from gconstellations import (
     CongruenceViolationError,
     EquivalenceResult,
     Fan,
+    FanValidationReport,
     GCartierDivisor,
     GluingViolationError,
     GroupData,
@@ -63,14 +68,49 @@ from gconstellations import (
     linear_equivalence_witness,
     pairing,
 )
-from gconstellations.exact import det_inverse
 from gconstellations.family import QuiverArrow
-from gconstellations.toric import Vector
+from gconstellations.toric import Vector, rational
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:
     """The exact dot product of two equally long vectors."""
     return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
+
+
+def ray_matrix(cone: Cone) -> tuple[Vector, ...]:
+    """The cone's ray vectors as the rows of a Fraction matrix."""
+    return tuple(ray.vector for ray in cone.rays)
+
+
+def det_inverse(
+    matrix: Sequence[Sequence[Fraction]],
+) -> tuple[Fraction, tuple[tuple[Fraction, ...], ...] | None]:
+    """Exact determinant and inverse from one Gauss-Jordan elimination on
+    Fractions, the oracle for `det_adjugate`. The inverse is None exactly
+    when the determinant is zero.
+    """
+    rows = [[rational(x, "matrix entry") for x in row] for row in matrix]
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square and non-empty")
+    aug = [row + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    determinant = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            return Fraction(0), None
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            determinant = -determinant
+        pv = aug[col][col]
+        determinant *= pv
+        aug[col] = [a / pv for a in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return determinant, tuple(tuple(row[n:]) for row in aug)
 
 
 def frac(q: Fraction) -> Fraction:
@@ -107,6 +147,59 @@ def crepant_by_junior_set(fan: Fan) -> bool:
     """Whether the ray vectors are exactly the junior points of L / Z^n,
     all |G| points of which are listed."""
     return {r.vector for r in fan.rays} == set(junior_by_closure(fan.lattice))
+
+
+def validate_fan_fraction(fan: Fan) -> FanValidationReport:
+    """The earlier library validate_fan, on Fraction inverses from
+    `det_inverse`: lattice coordinates, determinants, the facet side test
+    and the volume sum all in Fraction arithmetic."""
+    _, lattice_inverse = det_inverse(fan.lattice.basis)
+    covolume = Fraction(1, fan.lattice.index)
+    ray_errors = []
+    for ray in fan.rays:
+        coords = [dot(ray.vector, column) for column in zip(*lattice_inverse)]
+        if any(x < 0 for x in ray.vector):
+            ray_errors.append(f"{ray.name} has a negative coordinate")
+        elif any(c.denominator != 1 for c in coords):
+            ray_errors.append(f"{ray.name} is not a lattice point")
+        elif math.gcd(*(c.numerator for c in coords)) != 1:
+            ray_errors.append(f"{ray.name} is not primitive in the lattice")
+    used = {label for cone in fan.cones for label in cone.labels}
+    warnings = [f"{ray.name} does not occur in any maximal cone"
+                for ray in fan.rays if ray.label not in used]
+    eliminated = [det_inverse(ray_matrix(cone)) for cone in fan.cones]
+    determinants = tuple(d for d, _ in eliminated)
+    nonbasic = tuple(k for k, d in enumerate(determinants, start=1)
+                     if abs(d) != covolume)
+    facets: dict[frozenset[int], list[tuple[int, int]]] = {}
+    for k, cone in enumerate(fan.cones, start=1):
+        if k not in nonbasic:
+            for apex, label in enumerate(cone.labels):
+                facets.setdefault(frozenset(cone.labels) - {label},
+                                  []).append((k, apex))
+    violations = set()
+    for sharing in facets.values():
+        for (a, i), (b, j) in itertools.combinations(sharing, 2):
+            column = [row[i] for row in eliminated[a - 1][1]]
+            if dot(fan.cones[b - 1].rays[j].vector, column) > 0:
+                violations.add((a, b))
+    crepant = not (ray_errors or any(sum(r.vector) != 1 for r in fan.rays))
+    coverage = None
+    if ray_errors or nonbasic or violations:
+        warnings.append("support coverage not checked (earlier failures)")
+    else:
+        vectors = {r.label: r.vector for r in fan.rays}
+        boundary_on_walls = all(
+            any(all(vectors[label][i] == 0 for label in facet)
+                for i in range(fan.dim))
+            for facet, sharing in facets.items() if len(sharing) == 1)
+        volume = sum((abs(d) / math.prod(sum(v) for v in ray_matrix(cone))
+                      for d, cone in zip(determinants, fan.cones)),
+                     Fraction(0))
+        coverage = boundary_on_walls and volume == 1
+    return FanValidationReport(
+        tuple(ray_errors), determinants, nonbasic, tuple(sorted(violations)),
+        crepant, coverage, tuple(warnings))
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]
@@ -359,7 +452,7 @@ def chart_exponents_fraction(cone: Cone, lattice: LatticeL,
     Fraction sum of the columns of the inverse ray matrix, or None if it is
     not integral. The matrix is inverted once per call; the cone must be
     basic."""
-    _, inverse = det_inverse(cone.matrix)
+    _, inverse = det_inverse(ray_matrix(cone))
     exponents = []
     for coefficients in rows:
         m = [Fraction(0)] * lattice.dim

@@ -14,8 +14,8 @@ import itertools
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from gconstellations.exact import det_inverse
 from gconstellations.toric import Cone, Fan
+from oracles import det_inverse, ray_matrix
 
 
 def _kernel_vector(rows: Sequence[Sequence[Fraction]],
@@ -96,7 +96,7 @@ def pairwise_face_violations(fan: Fan) -> list[tuple[int, int]]:
     n = fan.dim
     inverses = {}
     for k, cone in enumerate(fan.cones, start=1):
-        d, inverse = det_inverse(cone.matrix)
+        d, inverse = det_inverse(ray_matrix(cone))
         if abs(d) == fan.lattice.covolume:
             inverses[k] = inverse
     face_violations = []

@@ -359,6 +359,25 @@ def test_enumerate_into_closed_pipe():
     assert len(json.loads(first)["divisors"]) == 8
 
 
+@pytest.mark.parametrize("module", ["gconstellations",
+                                    "gconstellations.cli"])
+def test_python_dash_m_runs_the_command_line(module, tmp_path):
+    # without a __main__ guard `python -m gconstellations.cli` printed
+    # nothing and exited 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(gconstellations.__file__).parent.parent)
+
+    def gcon(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv],
+                              capture_output=True, env=env, timeout=60)
+
+    done = gcon("enumerate", "--input", RUNNING, "--count-only")
+    assert (done.returncode, done.stdout) == (0, b"1536\n")
+    done = gcon("info", "--input", str(tmp_path / "missing.json"))
+    assert done.returncode == 1
+    assert json.loads(done.stdout)["error"] == "invalid input"
+
+
 def crepant_chain_file(tmp_path, order):
     """The minimal resolution of 1/order(1, order-1), written by the
     benchmark's problem generator."""

@@ -1,13 +1,13 @@
-"""Exact rational linear algebra kernel."""
+"""The Fraction Gauss-Jordan oracle `det_inverse` and the inexact-entry
+checks of the exact helpers."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from gconstellations.exact import det_inverse
 from gconstellations.toric import discrepancy
-from oracles import mat_mul
+from oracles import det_inverse, mat_mul
 
 
 def _det(matrix):

@@ -30,7 +30,7 @@ from gconstellations import (
     weil_to_cartier,
     x_valuation_on_X,
 )
-from gconstellations import exact
+from gconstellations import toric
 from gconstellations.cli import load_problem
 from gconstellations.toric import Cone, Fan, LatticeL, Ray
 from oracles import hermite_normal_form, junior_by_closure
@@ -288,13 +288,13 @@ def test_chart_exponent(g8, fan8):
 
 def test_each_matrix_eliminated_once(monkeypatch):
     calls = []
-    original = exact.det_inverse
+    original = toric.det_adjugate
 
-    def counted(matrix):
-        calls.append(matrix)
-        return original(matrix)
+    def counted(rows):
+        calls.append(rows)
+        return original(rows)
 
-    monkeypatch.setattr(exact, "det_inverse", counted)
+    monkeypatch.setattr(toric, "det_adjugate", counted)
     group, fan, _ = load_problem(str(PROBLEMS / "c8_125.json"))
     validate_fan(fan)
     family = canonical_family(fan, group)
@@ -458,4 +458,4 @@ def test_ray_and_cone_structs():
     assert ray.name == "E3"
     cone = Cone((ray, Ray(1, (Q(1), Q(0)))))
     assert cone.labels == (3, 1)
-    assert cone.matrix[0] == (Q(1, 2), Q(1, 2))
+    assert cone.rays[0].vector == (Q(1, 2), Q(1, 2))
