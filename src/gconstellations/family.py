@@ -137,16 +137,13 @@ def _family_of_shifts(fan: Fan, group: GroupData, value) -> ReductorSet:
     """D_chi has coefficient value(n, D) at each ray, for the ray's maximal
     shifts n / D. Each distinct value at a ray is made once."""
     per_ray = []
-    for ray in fan.rays:
+    for ray in sorted(fan.rays, key=attrgetter("label")):
         shifts = group.scaled_paths(ray.scaled)
         exact = {n: value(n, ray.scaled[0]) for n in set(shifts)}
         per_ray.append((ray.label, [exact[n] for n in shifts]))
-    return ReductorSet(tuple(
-        GWeilDivisor.from_map(
-            char, {label: values[i] for label, values in per_ray}
-        )
-        for i, char in enumerate(group.characters())
-    ))
+    return ReductorSet(tuple(GWeilDivisor._trusted(char, tuple(
+        (label, values[i]) for label, values in per_ray if values[i]))
+        for i, char in enumerate(group.characters())))
 
 
 def canonical_family(fan: Fan, group: GroupData) -> ReductorSet:
@@ -367,9 +364,12 @@ class BoundsReport(Record):
 def bounds_check(family: ReductorSet, fan: Fan,
                  group: GroupData) -> BoundsReport:
     """Check M_chi >= D_chi >= -M_{chi^-1} coefficientwise (normalized sets),
-    on ints over each ray's common denominator."""
+    on ints over each ray's common denominator; ValueError when a character
+    is of another group."""
     if not family.is_normalized:
         return BoundsReport(False, ())
+    if any(c.orders != group.orders for c in family.characters):
+        raise ValueError("characters of different groups")
     violations = []
     for ray, scale, q in _ray_columns(family, fan):
         shifts = [n * scale for n in group.scaled_paths(ray.scaled)]
@@ -413,7 +413,7 @@ def reductor_piece(family: ReductorSet, cone: Cone, fan: Fan,
         raise ValueError(f"cone {cone.labels} is not a cone of the fan")
     k = k or fan.cones.index(cone) + 1
     return ReductorPiece(cone, family.characters, chart_exponents(
-        family.divisors, chart_columns(family.scaled, fan), k, fan, group))
+        family.divisors, chart_columns(family.scaled, fan), (k,), fan, group))
 
 
 class QuiverArrow(Record):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from operator import mul
 
@@ -148,7 +149,9 @@ def congruence_violations(divisor: GWeilDivisor, fan: Fan,
                           group: GroupData) -> list[int]:
     """Labels of fan rays where the coefficient is not congruent mod Z to
     the maximal shift (as every weight-chi valuation is), then labels not
-    in the fan."""
+    in the fan; ValueError when the character is of another group."""
+    if divisor.character.orders != group.orders:
+        raise ValueError("characters of different groups")
     i = group.index[divisor.character]
     coeffs = divisor.as_map()
     bad = []
@@ -189,51 +192,68 @@ def chart_columns(scaled: Scaled, fan: Fan) -> Columns:
 
 
 def chart_exponents(divisors: Sequence[GWeilDivisor], columns: Columns,
-                    k: int, fan: Fan,
+                    ks: Sequence[int], fan: Fan,
                     group: GroupData) -> tuple[tuple[int, ...], ...]:
-    """The chart monomial of each divisor on the k-th cone (1-based): the
-    cone's dual basis weighted by the divisor's chart_columns entries at its
-    rays, summed and divided by D, one dual column at a time. NotBasicError
-    unless the rays form a lattice basis (checked on every call),
-    CongruenceViolationError on a coefficient off the fan or unless each
-    exponent is integral and of its divisor's weight (the first divisor that
-    is not is named), ValueError unless k is an int in 1..len(fan.cones)."""
-    if type(k) is not int or not 1 <= k <= len(fan.cones):
-        raise ValueError(f"cone index {k!r} out of range 1..{len(fan.cones)}")
-    cone = fan.cones[k - 1]
-    d = abs(cone.det_adjugate[0])  # |det| = d / cone.scale, basic at 1/index
-    if d * fan.lattice.index != cone.scale:
-        raise NotBasicError(f"cone {cone.labels} is not basic: |det| = "
-                            f"{Fraction(d, cone.scale)}, expected "
-                            f"{fan.lattice.covolume}")
+    """The chart monomial of each divisor on each k-th cone of ks (1-based),
+    in cone order, then divisor order: the cone's dual basis weighted by the
+    divisor's chart_columns entries at its rays, summed and divided by D, one
+    dual column at a time over all (cone, divisor) pairs at once. Per cone,
+    as from one call each: ValueError unless k is an int in 1..len(fan.cones),
+    NotBasicError unless the rays form a lattice basis, then a
+    CongruenceViolationError naming a coefficient off the fan, or the first
+    exponent that is not integral or not of its divisor's weight."""
     scale, columns, foreign = columns
-    if foreign:
-        raise CongruenceViolationError(
-            f"coefficients on rays {foreign}, which are not in the fan")
+    cones = []
+    try:
+        for k in ks:
+            if type(k) is not int or not 1 <= k <= len(fan.cones):
+                raise ValueError(
+                    f"cone index {k!r} out of range 1..{len(fan.cones)}")
+            cone = fan.cones[k - 1]
+            d = abs(cone.det_adjugate[0])  # basic at |det| = 1 / index
+            if d * fan.lattice.index != cone.scale:
+                raise NotBasicError(f"cone {cone.labels} is not basic: |det| "
+                                    f"= {Fraction(d, cone.scale)}, expected "
+                                    f"{fan.lattice.covolume}")
+            if foreign:
+                raise CongruenceViolationError(
+                    f"coefficients on rays {foreign}, which are not in the fan")
+            cones.append(cone)
+    except ValueError:  # the exponents on the cones before raise theirs first
+        chart_exponents(divisors, (scale, columns, foreign), ks[:len(cones)],
+                        fan, group)
+        raise
     zeros = (0,) * len(divisors)
-    at_rays = list(zip(*(columns.get(ray.label, zeros) for ray in cone.rays)))
-    # sums[c][i] is D times the c-th entry of the i-th divisor's exponent
-    sums = [[sum(map(mul, q, column)) for q in at_rays]
-            for column in cone.dual_columns]
-    exponents = list(zip(*([x // scale for x in s] for s in sums)))
+    # per cone, D times each divisor's coefficients at the cone's rays;
+    # sums[c] holds D times the c-th entry of every exponent
+    at_rays = [list(zip(*map(columns.get, cone.labels, repeat(zeros))))
+               for cone in cones]
+    sums = [[sum(map(mul, q, column))
+             for qs, column in zip(at_rays, dual) for q in qs]
+            for dual in zip(*[cone.dual_columns for cone in cones])]
+    exponents = tuple(zip(*([x // scale for x in s] for s in sums)))
     chars = [d.character for d in divisors]
     weights = [[sum(map(mul, w, m)) % d for m in exponents]
                for w, d in zip(group.weights, group.orders)]
     if (fan.dim != group.dim or any(x % scale for s in sums for x in s)
-            or any(c.orders != group.orders for c in chars)
-            or list(zip(*weights)) != [c.residues for c in chars]):
-        for divisor, m, exponent in zip(divisors, zip(*sums), exponents):
-            if any(x % scale for x in m):
-                bad = congruence_violations(divisor, fan, group)
-                raise CongruenceViolationError(
-                    f"coefficients violate the congruence invariant on rays "
-                    f"{bad or cone.labels}; cone {k} exponent is non-integral")
-            weight = group.weight(exponent)
-            if weight != divisor.character:
-                raise CongruenceViolationError(
-                    f"cone {k} exponent {exponent} has weight {weight.name}, "
-                    f"expected {divisor.character.name}")
-    return tuple(exponents)
+            or any(c.orders != group.orders for c in chars) or list(
+                zip(*weights)) != [c.residues for c in chars] * len(cones)):
+        pairs = zip(zip(*sums), exponents)
+        for k, cone in zip(ks, cones):
+            for divisor, (m, exponent) in zip(divisors, pairs):
+                if any(x % scale for x in m):
+                    bad = (divisor.character.orders == group.orders
+                           and congruence_violations(divisor, fan, group))
+                    raise CongruenceViolationError(
+                        f"coefficients violate the congruence invariant on "
+                        f"rays {bad or cone.labels}; cone {k} exponent is "
+                        "non-integral")
+                weight = group.weight(exponent)
+                if weight != divisor.character:
+                    raise CongruenceViolationError(
+                        f"cone {k} exponent {exponent} has weight "
+                        f"{weight.name}, expected {divisor.character.name}")
+    return exponents
 
 
 def chart_monomial(divisor: GWeilDivisor, k: int, fan: Fan,
@@ -241,16 +261,15 @@ def chart_monomial(divisor: GWeilDivisor, k: int, fan: Fan,
     """The Laurent exponent m that cuts out the divisor on the k-th cone
     (1-based), by chart_exponents and with its errors."""
     columns = chart_columns(scaled_coefficients((divisor,)), fan)
-    return chart_exponents((divisor,), columns, k, fan, group)[0]
+    return chart_exponents((divisor,), columns, (k,), fan, group)[0]
 
 
 def weil_to_cartier(divisor: GWeilDivisor, fan: Fan,
                     group: GroupData) -> GCartierDivisor:
     """The chart monomial of the divisor on every cone, in cone order."""
     columns = chart_columns(scaled_coefficients((divisor,)), fan)
-    return GCartierDivisor(divisor.character, tuple(
-        chart_exponents((divisor,), columns, k, fan, group)[0]
-        for k in range(1, len(fan.cones) + 1)))
+    return GCartierDivisor(divisor.character, chart_exponents(
+        (divisor,), columns, range(1, len(fan.cones) + 1), fan, group))
 
 
 def cartier_to_weil(cartier: GCartierDivisor, fan: Fan,
@@ -258,19 +277,20 @@ def cartier_to_weil(cartier: GCartierDivisor, fan: Fan,
     """Read off ray coefficients from any cone containing each ray, on ints."""
     if len(cartier.exponents) != len(fan.cones):
         raise ValueError("one exponent per maximal cone required")
-    char = cartier.character
-    for k, m in enumerate(cartier.exponents, start=1):
-        if len(m) != group.dim or char.orders != group.orders or any(
-                sum(map(mul, w, m)) % d != r for w, d, r
-                in zip(group.weights, group.orders, char.residues)):
-            group.weight(m)  # ValueError on an exponent of the wrong length
-            raise CongruenceViolationError(
-                f"cone {k} exponent {m} does not have weight {char.name}")
+    char, exponents = cartier.character, cartier.exponents
+    weights = [[sum(map(mul, w, m)) % d for m in exponents]
+               for w, d in zip(group.weights, group.orders)]
+    if (char.orders != group.orders or set(map(len, exponents)) - {group.dim}
+            or weights != [[r] * len(exponents) for r in char.residues]):
+        for k, m in enumerate(exponents, start=1):
+            if group.weight(m) != char:  # ValueError on a wrong length
+                raise CongruenceViolationError(
+                    f"cone {k} exponent {m} does not have weight {char.name}")
     if fan.cones and fan.dim != group.dim:
         raise ValueError(f"length mismatch: {fan.dim} vs {group.dim}")
     # each ray's D_e times the valuations of the exponents of its cones
     values: dict[int, set[int]] = {ray.label: set() for ray in fan.rays}
-    for cone, m in zip(fan.cones, cartier.exponents):
+    for cone, m in zip(fan.cones, exponents):
         for ray in cone.rays:
             values[ray.label].add(sum(map(mul, ray.scaled[1], m)))
     bad = [label for label, seen in values.items() if len(seen) > 1]

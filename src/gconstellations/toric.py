@@ -122,16 +122,6 @@ class LatticeL(Record):
         return ([sum(map(mul, ints, column)) for column in columns],
                 scale * self._det)  # type: ignore[attr-defined]
 
-    def coordinates(self, v: Sequence) -> Vector:
-        """Coefficients of v in the basis rows."""
-        w = _vec(v)
-        if len(w) != self.dim:
-            raise ValueError(f"length mismatch: {self.dim} vs {len(w)}")
-        scale = lcm(*(x.denominator for x in w))
-        numerators, d = self.scaled_coordinates(
-            scale, [x.numerator * (scale // x.denominator) for x in w])
-        return tuple(Fraction(x, d) for x in numerators)
-
 
 def build_lattice(group: GroupData) -> LatticeL:
     """The overlattice generated by the dual of Z^n and the weight rows /d_j.
@@ -193,13 +183,13 @@ class Cone(Record):
 
     rays: tuple[Ray, ...]
 
-    @property
+    @cached_property
     def labels(self) -> tuple[int, ...]:
         return tuple(r.label for r in self.rays)
 
-    @property
+    @cached_property
     def scale(self) -> int:
-        """The product of the rays' denominators D_i."""
+        """The product of the rays' denominators D_i, kept on the cone."""
         return prod(ray.scaled[0] for ray in self.rays)
 
     @cached_property

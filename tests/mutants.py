@@ -77,6 +77,34 @@ MUTANTS = (
            "    if d * fan.lattice.index != cone.scale:",
            "    if False:",
            ("tests/test_chart_generated.py",)),
+    # the one chart_exponents pass over many cones
+    Mutant("no weight comparison in the one pass", "gdivisor.py",
+           "            or any(c.orders != group.orders for c in chars) or list("
+           "\n                zip(*weights)) != [c.residues for c in chars] "
+           "* len(cones)):",
+           "            or any(c.orders != group.orders for c in chars)):",
+           ("tests/test_chart_generated.py",)),
+    Mutant("each cone's rays summed on the next cone's dual columns",
+           "gdivisor.py",
+           "for dual in zip(*[cone.dual_columns for cone in cones])]",
+           "for dual in zip(*[cone.dual_columns for cone in "
+           "cones[1:] + cones[:1]])]",
+           ("tests/test_chart_scaled.py",)),
+    Mutant("pairs compared to the weights divisor by divisor",
+           "gdivisor.py",
+           "zip(*weights)) != [c.residues for c in chars] * len(cones)):",
+           "zip(*weights)) != [c.residues for c in chars for _ in cones]):",
+           ("tests/test_chart_scaled.py",)),
+    Mutant("cartier_to_weil walks the cones on every call", "gdivisor.py",
+           "weights != [[r] * len(exponents) for r in char.residues]",
+           "weights != [[r] * (len(exponents) + 1) for r in char.residues]",
+           ("tests/test_chart_scaled.py",)),
+    Mutant("a structural error before the errors of earlier cones",
+           "gdivisor.py",
+           "        chart_exponents(divisors, (scale, columns, foreign), "
+           "ks[:len(cones)],\n                        fan, group)\n",
+           "",
+           ("tests/test_chart_generated.py",)),
 )
 
 

@@ -1,7 +1,8 @@
 """Brute-force reference helpers that only the tests use.
 
 `dot` and `mat_mul` multiply exact vectors and matrices, the second to
-check inverses; `ray_matrix` is a cone's Fraction ray matrix;
+check inverses; `lattice_coordinates` reads a vector's coefficients in a
+lattice's basis rows; `ray_matrix` is a cone's Fraction ray matrix;
 `det_inverse` is the Fraction Gauss-Jordan elimination, the oracle for
 `det_adjugate`, and `validate_fan_fraction` the Fraction `validate_fan`
 built on it; `hermite_normal_form` is the general row-style Hermite
@@ -75,6 +76,19 @@ from gconstellations.toric import Vector, rational
 def dot(u: Sequence, v: Sequence) -> Fraction:
     """The exact dot product of two equally long vectors."""
     return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
+
+
+def lattice_coordinates(lattice: LatticeL, v: Sequence) -> Vector:
+    """Coefficients of v in the lattice's basis rows, from its
+    scaled_coordinates; ValueError on an entry that is not an int or
+    Fraction, or on a length other than the lattice's."""
+    w = tuple(rational(x, "coordinates") for x in v)
+    if len(w) != lattice.dim:
+        raise ValueError(f"length mismatch: {lattice.dim} vs {len(w)}")
+    scale = math.lcm(*(x.denominator for x in w))
+    numerators, d = lattice.scaled_coordinates(
+        scale, [x.numerator * (scale // x.denominator) for x in w])
+    return tuple(Fraction(x, d) for x in numerators)
 
 
 def ray_matrix(cone: Cone) -> tuple[Vector, ...]:

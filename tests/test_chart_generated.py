@@ -54,6 +54,11 @@ from gconstellations import (
     weil_to_cartier,
 )
 from gconstellations.cli import load_problem
+from gconstellations.gdivisor import (
+    chart_columns,
+    chart_exponents,
+    scaled_coefficients,
+)
 from oracles import (
     cartier_to_weil_fraction,
     chart_exponents_fraction,
@@ -190,6 +195,110 @@ def test_non_basic_cone_raises_on_every_call(problem):
     for _ in range(3):
         assert _error(reductor_piece, family, cone, one_cone, group) == error
         assert _error(weil_to_cartier, divisor, one_cone, group) == error
+
+
+def _per_cone(divisors, columns, ks, fan, group):
+    """chart_exponents made one call per cone, as weil_to_cartier made it
+    before its one pass: the same exponents, or the same first error."""
+    return tuple(m for k in ks
+                 for m in chart_exponents(divisors, columns, (k,), fan, group))
+
+
+def _outcome(convert, *args):
+    """What convert(*args) returns, or the class and text of its
+    ValueError."""
+    try:
+        return convert(*args)
+    except ValueError as error:
+        return type(error), str(error)
+
+
+def _with_unit_cone(fan, j):
+    """The fan with its j-th cone (0-based) spanned by the unit vectors,
+    appended as new rays: a cone that is not basic when |G| > 1."""
+    vectors = [ray.vector for ray in fan.rays]
+    units = [tuple(int(i == r) for r in range(fan.dim))
+             for i in range(fan.dim)]
+    cones = [cone.labels for cone in fan.cones]
+    cones[j] = tuple(range(len(vectors) + 1, len(vectors) + fan.dim + 1))
+    return make_fan(fan.lattice, vectors + units, cones)
+
+
+def test_one_pass_raises_the_first_error_of_the_per_cone_loop(problem):
+    # every divisor, relabelled, with a coefficient off the fan or pushed
+    # off the grid at each ray, alone and in the set; on the fan and on the
+    # fan with each cone made not basic; over the cones in order, in
+    # reverse and with an index out of range after cone 1
+    group, fan, family = problem
+    off = Fraction(1, off_grid_denominator(group.order))
+    count = len(fan.cones)
+    fans = [fan] + [_with_unit_cone(fan, j) for j in range(count)]
+    orders = [range(1, count + 1), range(count, 0, -1), (1, count + 1)]
+    errors = set()
+    for c, divisor in enumerate(family.divisors):
+        other = group.characters()[(c + 1) % group.order]
+        bad = [divisor, GWeilDivisor(other, divisor.entries),
+               GWeilDivisor(divisor.character,
+                            divisor.entries + ((99, Fraction(1)),))]
+        for ray in fan.rays:
+            coeffs = divisor.as_map()
+            coeffs[ray.label] = coeffs.get(ray.label, 0) + off
+            bad.append(GWeilDivisor.from_map(divisor.character, coeffs))
+        for d in bad:
+            for divisors in ((d,), _replaced(family, c, d).divisors):
+                scaled = scaled_coefficients(divisors)
+                for variant in fans:
+                    columns = chart_columns(scaled, variant)
+                    for ks in orders:
+                        outcome = _outcome(chart_exponents, divisors, columns,
+                                           ks, variant, group)
+                        assert outcome == _outcome(_per_cone, divisors,
+                                                   columns, ks, variant, group)
+                        errors.add(outcome[0])
+    assert {ValueError, NotBasicError, CongruenceViolationError} <= errors
+
+
+def test_non_integral_cone_1_comes_before_a_later_cone_not_basic(g8, fan8):
+    # fan8's first cone holds E7; its last cone becomes E1 E2 E3, not basic
+    cones = [cone.labels for cone in fan8.cones[:-1]] + [(1, 2, 3)]
+    fan = make_fan(fan8.lattice, [ray.vector for ray in fan8.rays], cones)
+    good = canonical_family(fan, g8).divisors[3]
+    coeffs = good.as_map()
+    coeffs[7] = coeffs.get(7, 0) + Fraction(1, 3)
+    pushed = GWeilDivisor.from_map(good.character, coeffs)
+    assert fan.cones[0].labels == (1, 2, 7)
+    assert _raised(weil_to_cartier, pushed, fan, g8) == (
+        CongruenceViolationError,
+        "coefficients violate the congruence invariant on rays [7]; cone 1 "
+        "exponent is non-integral")
+    assert _raised(weil_to_cartier, good, fan, g8) == (
+        NotBasicError, "cone (1, 2, 3) is not basic: |det| = 1, expected 1/8")
+
+
+def test_label_off_the_fan_raises_after_cone_1_checks(g8, fan8):
+    divisor = canonical_family(fan8, g8).divisors[3]
+    foreign = GWeilDivisor(divisor.character,
+                           divisor.entries + ((99, Fraction(1)),))
+    assert _raised(weil_to_cartier, foreign, fan8, g8) == (
+        CongruenceViolationError,
+        "coefficients on rays [99], which are not in the fan")
+    assert _raised(chart_monomial, foreign, 9, fan8, g8) == (
+        ValueError, "cone index 9 out of range 1..8")
+    # cone 1 not basic: its check comes first
+    cones = [(1, 2, 3)] + [cone.labels for cone in fan8.cones[1:]]
+    fan = make_fan(fan8.lattice, [ray.vector for ray in fan8.rays], cones)
+    assert _raised(weil_to_cartier, foreign, fan, g8) == (
+        NotBasicError, "cone (1, 2, 3) is not basic: |det| = 1, expected 1/8")
+
+
+def test_fan_without_cones_gives_an_empty_cartier_divisor(g8, fan8):
+    fan = make_fan(fan8.lattice, [ray.vector for ray in fan8.rays], [])
+    for divisor in canonical_family(fan8, g8).divisors:
+        foreign = GWeilDivisor(divisor.character,
+                               divisor.entries + ((99, Fraction(1)),))
+        for d in (divisor, foreign):
+            assert weil_to_cartier(d, fan, g8) == GCartierDivisor(
+                d.character, ())
 
 
 @pytest.mark.parametrize("change", ["missing", "reversed"])

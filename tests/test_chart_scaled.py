@@ -13,6 +13,7 @@ import pytest
 
 from gconstellations import (
     CongruenceViolationError,
+    GroupData,
     GWeilDivisor,
     ReductorSet,
     canonical_family,
@@ -25,7 +26,10 @@ from gconstellations import (
     reductor_piece,
     weil_to_cartier,
 )
+from gconstellations import family as family_module
+from gconstellations import gdivisor
 from gconstellations.cli import load_problem
+from gconstellations.gdivisor import chart_columns, chart_exponents
 from oracles import chart_exponents_fraction, pairing_fraction, quiver_fraction
 from strategies import off_grid_denominator
 
@@ -83,6 +87,62 @@ def test_chart_exponents_match_fraction_oracle(case):
             assert all(type(x) is int for x in exponent)
             assert [exponent] == chart_exponents_fraction(
                 cone, fan.lattice, [coefficients])
+
+
+def test_one_pass_over_cones_and_divisors_matches_fraction_oracle(
+        case, monkeypatch):
+    # every divisor of a set on every cone in one call, the cones in
+    # reverse, once more from the first: exponents cone by cone, then
+    # divisor by divisor
+    group, fan, sets = case
+    ks = [*range(len(fan.cones), 0, -1), 1]
+    # the walks that name a failure call GroupData.weight; on valid
+    # divisors neither chart_exponents nor cartier_to_weil walks
+    walked = []
+    weight = GroupData.weight
+
+    def counted(self, m):
+        walked.append(m)
+        return weight(self, m)
+
+    monkeypatch.setattr(GroupData, "weight", counted)
+    for family in sets:
+        for divisor in family.divisors:
+            cartier = weil_to_cartier(divisor, fan, group)
+            assert cartier_to_weil(cartier, fan, group) == divisor
+        exponents = chart_exponents(family.divisors,
+                                    chart_columns(family.scaled, fan),
+                                    ks, fan, group)
+        assert exponents == tuple(
+            m for k in ks for m in chart_exponents_fraction(
+                fan.cones[k - 1], fan.lattice, [
+                    [d.coefficient(ray.label) for ray in fan.cones[k - 1].rays]
+                    for d in family.divisors]))
+    assert not walked
+
+
+def test_one_chart_exponents_call_per_conversion(case, monkeypatch):
+    group, fan, sets = case
+    calls = []
+    original = gdivisor.chart_exponents
+
+    def counted(divisors, columns, ks, fan, group):
+        calls.append((len(divisors), list(ks)))
+        return original(divisors, columns, ks, fan, group)
+
+    monkeypatch.setattr(gdivisor, "chart_exponents", counted)
+    monkeypatch.setattr(family_module, "chart_exponents", counted)
+    every = list(range(1, len(fan.cones) + 1))
+    for divisor in sets[0].divisors:
+        weil_to_cartier(divisor, fan, group)
+        chart_monomial(divisor, every[-1], fan, group)
+    assert calls == [(1, every), (1, every[-1:])] * len(sets[0].divisors)
+    calls.clear()
+    for family in sets[:2]:
+        for k, cone in enumerate(fan.cones, start=1):
+            reductor_piece(family, cone, fan, group)
+            assert calls.pop() == (len(family.divisors), [k])
+            assert not calls
 
 
 def test_off_grid_coefficients_give_no_exponent(case):

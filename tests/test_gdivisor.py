@@ -6,10 +6,13 @@ from fractions import Fraction as Q
 import pytest
 
 from gconstellations import (
+    Character,
     CongruenceViolationError,
     GCartierDivisor,
     GluingViolationError,
     GWeilDivisor,
+    ReductorSet,
+    bounds_check,
     cartier_to_weil,
     chart_monomial,
     divisor_from_json,
@@ -239,6 +242,27 @@ def test_label_off_the_fan_is_refused(g8, fan8):
             chart_monomial(bad, k, fan8, g8)
     assert linear_equivalence_witness(d, bad, fan8, g8) is None
     assert linear_equivalence_witness(d, d, fan8, g8) == (0, 0, 0)
+
+
+def test_character_of_another_group_is_no_key_error(g8, fan8):
+    # Z/4 is not the group of the fan: no exponent is of this weight, and
+    # the character has no position among the group's
+    d = GWeilDivisor(Character((1,), (4,)), ((1, Q(1, 3)),))
+    text = "^characters of different groups$"
+    with pytest.raises(ValueError, match=text):
+        congruence_violations(d, fan8, g8)
+    with pytest.raises(ValueError, match=text):
+        bounds_check(ReductorSet((d,)), fan8, g8)
+    assert 1 in fan8.cones[0].labels
+    with pytest.raises(CongruenceViolationError,
+                       match=r"cone 1 exponent is non-integral$"):
+        chart_monomial(d, 1, fan8, g8)
+    with pytest.raises(CongruenceViolationError,
+                       match=r"cone 1 exponent is non-integral$"):
+        weil_to_cartier(d, fan8, g8)
+    for k in range(1, len(fan8.cones) + 1):
+        with pytest.raises(CongruenceViolationError, match=f"cone {k} "):
+            chart_monomial(d, k, fan8, g8)
 
 
 def test_weil_divisor_rejects_duplicate_label(g8):
