@@ -358,7 +358,8 @@ def cmd_enumerate(args, group: GroupData, fan: Fan, _) -> int:
     for cells in enumeration.cells(lambda label, q: f'"E{label}": "{q!s}"',
                                    args.limit):
         sys.stdout.write('{"divisors": [' + ", ".join(
-            head + ", ".join(c) + "}}" for head, c in zip(heads, cells))
+            head + ", ".join(filter(None, c)) + "}}"
+            for head, c in zip(heads, cells))
             + "]}\n")
     return 0
 

@@ -25,6 +25,7 @@ from operator import attrgetter, getitem, mod, mul, neg, sub
 from .gdivisor import (
     GWeilDivisor,
     Scaled,
+    by_label,
     chart_columns,
     chart_exponents,
     congruence_violations,
@@ -43,7 +44,8 @@ _residues = attrgetter("character.residues")
 
 
 class ReductorSet(Record):
-    """One chi-divisor per character, sorted by residue tuple."""
+    """One chi-divisor per character, sorted by residue tuple. A set that
+    NormalizedEnumeration.sets() yields holds its cells until divisors is read."""
 
     divisors: tuple[GWeilDivisor, ...]
 
@@ -51,11 +53,16 @@ class ReductorSet(Record):
     def from_divisors(cls, divisors) -> "ReductorSet":
         return cls(tuple(sorted(divisors, key=_residues)))
 
-    @property
+    @cached_property
+    def divisors(self) -> tuple[GWeilDivisor, ...]:
+        return tuple(GWeilDivisor._trusted(char, tuple(filter(None, c)))
+                     for char, c in self.__dict__.pop("_cells"))
+
+    @cached_property
     def characters(self) -> tuple[Character, ...]:
         return tuple(d.character for d in self.divisors)
 
-    @property
+    @cached_property
     def is_normalized(self) -> bool:
         return all(not d.entries or not d.character.is_trivial
                    for d in self.divisors)
@@ -64,6 +71,15 @@ class ReductorSet(Record):
     def scaled(self) -> Scaled:
         """The divisors' scaled_coefficients (D, labels, rows)."""
         return scaled_coefficients(self.divisors)
+
+    @cached_property
+    def columns(self) -> tuple[int, dict[int, tuple[int, ...]]]:
+        return by_label(self.scaled)
+
+    @cached_property
+    def _rows(self) -> dict[tuple, tuple[int, ...]]:
+        return {(c.residues, c.orders): row
+                for c, row in zip(self.characters, self.scaled[2])}
 
 
 class ReductorReport(Record):
@@ -104,9 +120,8 @@ def _ray_columns(family: ReductorSet, fan: Fan):
     """(ray, D, q) per fan ray: D is the set's common denominator and q[k]
     is D * D_e times the k-th divisor's coefficient at the ray, for the
     ray's D_e, so q compares as ints with D times the ray's scaled values."""
-    scale, labels, rows = family.scaled
-    columns = dict(zip(labels, zip(*rows)))
-    zeros = (0,) * len(rows)
+    scale, columns = family.columns
+    zeros = (0,) * len(family.divisors)
     for ray in fan.rays:
         d_e = ray.scaled[0]
         yield ray, scale, [n * d_e for n in columns.get(ray.label, zeros)]
@@ -248,19 +263,19 @@ class NormalizedEnumeration(Record):
     tables: tuple[PerRayTable, ...]
     count: int
 
-    def cells(self, cell, limit: int | None = None) -> Iterator[list[tuple]]:
-        """The sets in stream order, each as one tuple per character of
-        cell(label, q) for its nonzero coefficients q, in increasing ray
-        label. The product runs over the tables in fan order and reads
-        them in label order. cell must return a true value; it is called
-        once per table, character and position, and a table row's tuple
-        of cells is made on the row's first visit."""
+    def cells(self, cell, limit: int | None = None) -> Iterator[zip]:
+        """The sets in stream order, each as a zip over the characters of
+        cell(label, q) per table in increasing ray label, None where q is 0.
+        The product runs over the tables in fan order and reads them in
+        label order. cell must return a true value; it is called once per
+        table, character and position, and a table row's tuple of cells is
+        made on the row's first visit."""
         order = sorted(range(len(self.tables)),
                        key=lambda k: self.tables[k].ray_label)
         cells = [[tuple(cell(t.ray_label, q) if q else None for q in v)
                   for v in t.values] for t in self.tables]
         made = [[None] * len(t.positions) for t in self.tables]
-        no_rays = [()] * self.group.order  # the one set of a fan without rays
+        no_rays = [(None,) * self.group.order]  # for a fan without rays
 
         def make(k: int, i: int) -> tuple:
             made[k][i] = row = tuple(map(getitem, cells[k],
@@ -271,13 +286,15 @@ class NormalizedEnumeration(Record):
         if limit is not None:
             combos = itertools.islice(combos, max(limit, 0))
         for combo in combos:
-            rows = [made[k][combo[k]] or make(k, combo[k]) for k in order]
-            yield [tuple(filter(None, c)) for c in zip(*rows)] or no_rays
+            yield zip(*[made[k][combo[k]] or make(k, combo[k])
+                        for k in order] or no_rays)
 
     def sets(self, limit: int | None = None) -> Iterator[ReductorSet]:
         chars = self.group.characters()
         for cells in self.cells(lambda label, q: (label, q), limit):
-            yield ReductorSet(tuple(map(GWeilDivisor._trusted, chars, cells)))
+            lazy = object.__new__(ReductorSet)
+            lazy.__dict__["_cells"] = zip(chars, cells)
+            yield lazy
 
 
 def enumerate_normalized(fan: Fan, group: GroupData) -> NormalizedEnumeration:
@@ -287,17 +304,22 @@ def enumerate_normalized(fan: Fan, group: GroupData) -> NormalizedEnumeration:
     return NormalizedEnumeration(group, tables, count)
 
 
-def _unscaled(scale: int, labels: tuple[int, ...], rows: list[list[int]],
-              characters: tuple[Character, ...]) -> ReductorSet:
-    """The set with the given characters and coefficients rows / D; each
-    distinct value becomes a Fraction once."""
-    exact = {n: Fraction(n, scale) for n in set().union(*rows) if n}
-    return ReductorSet.from_divisors([
+def _unscaled(family: ReductorSet, rows: list[list[int]]) -> ReductorSet:
+    """The family's characters with coefficients rows / D at its labels;
+    each n / D is made once in a pool by D and n that derived sets share."""
+    scale, labels, _ = family.scaled
+    pool = family.__dict__.setdefault("_pool", {})
+    exact = pool.setdefault(scale, {})
+    for n in set().union(*rows).difference(exact):
+        exact[n] = Fraction(n, scale)
+    derived = ReductorSet.from_divisors([
         GWeilDivisor._trusted(char, tuple(zip(
             itertools.compress(labels, row),
             map(exact.__getitem__, filter(None, row)))))
-        for char, row in zip(characters, rows)
+        for char, row in zip(family.characters, rows)
     ])
+    derived.__dict__["_pool"] = pool
+    return derived
 
 
 def lambda_shift(family: ReductorSet, lam: Character) -> ReductorSet:
@@ -311,32 +333,28 @@ def lambda_shift(family: ReductorSet, lam: Character) -> ReductorSet:
     """
     if not family.is_normalized:
         raise ValueError("lambda_shift expects a normalized set")
-    chars = family.characters
-    scale, labels, rows = family.scaled
-    by_char = {(c.residues, c.orders): row for c, row in zip(chars, rows)}
+    by_char = family._rows
     shift, orders = lam.residues, lam.orders
     lam_inv = by_char[tuple(map(mod, map(neg, shift), orders)), orders]
     shifted = []
-    for c in chars:
+    for c in family.characters:
         if c.orders != orders:
             raise ValueError("characters of different groups")
         shifted.append(list(map(sub, by_char[tuple(map(
             mod, map(sub, c.residues, shift), orders)), orders], lam_inv)))
-    return _unscaled(scale, labels, shifted, chars)
+    return _unscaled(family, shifted)
 
 
 def reflect(family: ReductorSet) -> ReductorSet:
     """The dual family D'_chi = -D_{chi^-1}; an involution, negated on the
     coefficients scaled by their common denominator and found as in
     lambda_shift. KeyError when some chi^-1 has no divisor."""
-    chars = family.characters
-    scale, labels, rows = family.scaled
-    by_char = {(c.residues, c.orders): row for c, row in zip(chars, rows)}
-    return _unscaled(scale, labels, [
+    by_char = family._rows
+    return _unscaled(family, [
         list(map(neg, by_char[tuple(map(mod, map(neg, c.residues),
                                         c.orders)), c.orders]))
-        for c in chars
-    ], chars)
+        for c in family.characters
+    ])
 
 
 class BoundsReport(Record):
@@ -413,7 +431,7 @@ def reductor_piece(family: ReductorSet, cone: Cone, fan: Fan,
         raise ValueError(f"cone {cone.labels} is not a cone of the fan")
     k = k or fan.cones.index(cone) + 1
     return ReductorPiece(cone, family.characters, chart_exponents(
-        family.divisors, chart_columns(family.scaled, fan), (k,), fan, group))
+        family.divisors, chart_columns(family.columns, fan), (k,), fan, group))
 
 
 class QuiverArrow(Record):
@@ -541,9 +559,11 @@ def equivalence_witness(a: ReductorSet, b: ReductorSet, fan: Fan,
     """
     if a.characters != b.characters:
         raise ValueError("families live over different character groups")
-    first = [d - c for c, d in zip(a.divisors, b.divisors[:1])][0]
+    if not a.divisors:
+        raise ValueError(_STRUCTURE_ERROR)
+    first = b.divisors[0] - a.divisors[0]
     # the others as ints over D_a * D_b: b - a is constant along each label
-    (da, ca, _), (db, cb, _) = (chart_columns(s.scaled, fan) for s in (a, b))
+    (da, ca), (db, cb) = a.columns, b.columns
     zeros = (0,) * len(a.divisors)
     if any(len({y * da - x * db for x, y in zip(ca.get(label, zeros),
                                                 cb.get(label, zeros))}) > 1

@@ -183,12 +183,16 @@ def scaled_coefficients(divisors: Sequence[GWeilDivisor]) -> Scaled:
     return scale, labels, tuple(rows)
 
 
-def chart_columns(scaled: Scaled, fan: Fan) -> Columns:
-    """(D, columns, foreign) from scaled_coefficients: columns[label] is D
-    times each divisor's coefficient there, foreign the labels off the fan."""
+def by_label(scaled: Scaled) -> tuple[int, dict[int, tuple[int, ...]]]:
+    """(D, columns): columns[label] is D times each coefficient there."""
     scale, labels, rows = scaled
-    foreign = sorted(set(labels).difference(ray.label for ray in fan.rays))
-    return scale, dict(zip(labels, zip(*rows))), foreign
+    return scale, dict(zip(labels, zip(*rows)))
+
+
+def chart_columns(columns: tuple[int, dict], fan: Fan) -> Columns:
+    """(D, columns, foreign) from by_label, foreign the labels off the fan."""
+    return (*columns, sorted(set(columns[1]).difference(
+        ray.label for ray in fan.rays)))
 
 
 def chart_exponents(divisors: Sequence[GWeilDivisor], columns: Columns,
@@ -260,14 +264,14 @@ def chart_monomial(divisor: GWeilDivisor, k: int, fan: Fan,
                    group: GroupData) -> tuple[int, ...]:
     """The Laurent exponent m that cuts out the divisor on the k-th cone
     (1-based), by chart_exponents and with its errors."""
-    columns = chart_columns(scaled_coefficients((divisor,)), fan)
+    columns = chart_columns(by_label(scaled_coefficients((divisor,))), fan)
     return chart_exponents((divisor,), columns, (k,), fan, group)[0]
 
 
 def weil_to_cartier(divisor: GWeilDivisor, fan: Fan,
                     group: GroupData) -> GCartierDivisor:
     """The chart monomial of the divisor on every cone, in cone order."""
-    columns = chart_columns(scaled_coefficients((divisor,)), fan)
+    columns = chart_columns(by_label(scaled_coefficients((divisor,))), fan)
     return GCartierDivisor(divisor.character, chart_exponents(
         (divisor,), columns, range(1, len(fan.cones) + 1), fan, group))
 

@@ -105,6 +105,23 @@ MUTANTS = (
            "ks[:len(cones)],\n                        fan, group)\n",
            "",
            ("tests/test_chart_generated.py",)),
+    # sets that make their divisors on first read, and the value pool of
+    # the sets lambda_shift and reflect derive
+    Mutant("sets read the tables in fan order", "family.py",
+           "for k in order] or no_rays)",
+           "for k in range(len(made))] or no_rays)",
+           ("tests/test_family.py",)),
+    Mutant("lazy divisors keep the zero cells", "family.py",
+           "GWeilDivisor._trusted(char, tuple(filter(None, c)))",
+           "GWeilDivisor._trusted(char, tuple(c))",
+           ("tests/test_family.py",)),
+    Mutant("one value pool for every D", "family.py",
+           "exact = pool.setdefault(scale, {})",
+           "exact = pool.setdefault(0, {})",
+           ("tests/test_family.py",)),
+    Mutant("derived sets start a pool of their own", "family.py",
+           "    derived.__dict__[\"_pool\"] = pool\n", "",
+           ("tests/test_family.py",)),
 )
 
 

@@ -55,6 +55,7 @@ from gconstellations import (
 )
 from gconstellations.cli import load_problem
 from gconstellations.gdivisor import (
+    by_label,
     chart_columns,
     chart_exponents,
     scaled_coefficients,
@@ -248,7 +249,7 @@ def test_one_pass_raises_the_first_error_of_the_per_cone_loop(problem):
             for divisors in ((d,), _replaced(family, c, d).divisors):
                 scaled = scaled_coefficients(divisors)
                 for variant in fans:
-                    columns = chart_columns(scaled, variant)
+                    columns = chart_columns(by_label(scaled), variant)
                     for ks in orders:
                         outcome = _outcome(chart_exponents, divisors, columns,
                                            ks, variant, group)

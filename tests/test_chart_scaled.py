@@ -111,7 +111,7 @@ def test_one_pass_over_cones_and_divisors_matches_fraction_oracle(
             cartier = weil_to_cartier(divisor, fan, group)
             assert cartier_to_weil(cartier, fan, group) == divisor
         exponents = chart_exponents(family.divisors,
-                                    chart_columns(family.scaled, fan),
+                                    chart_columns(family.columns, fan),
                                     ks, fan, group)
         assert exponents == tuple(
             m for k in ks for m in chart_exponents_fraction(

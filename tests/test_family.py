@@ -3,8 +3,9 @@ shifts, bounds, chart pieces, quivers, equivalence."""
 
 import itertools
 import re
-from fractions import Fraction as Q
+from fractions import Fraction, Fraction as Q
 from math import lcm
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -38,15 +39,25 @@ from gconstellations import (
     reflect,
     weil_to_cartier,
 )
+from gconstellations import family as family_module
 from gconstellations.cli import load_problem
 from gconstellations.toric import Cone
 from oracles import (
     enumerate_per_ray_dfs,
     equivalence_witness_fraction,
+    lambda_shift_fraction,
     monomials_of_weight,
+    reflect_fraction,
+    sets_fraction,
 )
 from strategies import PROPERTIES, principal_divisor, shortest_paths
-from test_scaled import PERTURBATIONS, SHORT, _outcome, perturbed_sets
+from test_scaled import (
+    LABELS_OUT_OF_FAN_ORDER,
+    PERTURBATIONS,
+    SHORT,
+    _outcome,
+    perturbed_sets,
+)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -385,6 +396,39 @@ def test_enumeration_trivial_group(g1, fan1):
     assert all(d.is_zero for d in only.divisors)
 
 
+def test_sets_build_divisors_on_first_read(g8, fan8, monkeypatch):
+    built = []
+    trusted = GWeilDivisor._trusted
+
+    def counted(cls, character, entries):
+        built.append(character)
+        return trusted(character, entries)
+
+    monkeypatch.setattr(GWeilDivisor, "_trusted", classmethod(counted))
+    sets = list(enumerate_normalized(fan8, g8).sets())
+    assert len(sets) == 1536 and not built
+    reads = (attrgetter("divisors"), attrgetter("characters"),
+             attrgetter("scaled"), hash, repr, lambda s: s == s)
+    for family, read in zip(sets, reads):
+        built.clear()
+        read(family)
+        read(family)
+        assert built == g8.characters()
+    assert all(type(s) is ReductorSet for s in sets)
+
+
+@pytest.mark.parametrize("case", ["c8_125", "labels out of fan order"])
+def test_lazy_sets_equal_the_fraction_sets(case, g8, fan8):
+    group, fan = (g8, fan8) if case == "c8_125" else LABELS_OUT_OF_FAN_ORDER
+    enumeration = enumerate_normalized(fan, group)
+    # four copies of each set, so that each comparison is its first read
+    copies = (enumeration.sets(limit=60) for _ in range(4))
+    for a, b, c, d, oracle in zip(*copies, sets_fraction(enumeration, 60)):
+        assert a == oracle and oracle == b
+        assert hash(c) == hash(oracle)
+        assert repr(d) == repr(oracle)
+
+
 def test_canonical_is_enumerated(g8, fan8):
     enum = enumerate_normalized(fan8, g8)
     target = tuple(d.entries for d in canonical_family(fan8, g8).divisors)
@@ -470,6 +514,42 @@ def test_reflect_involution_and_permutation(g3, fan3, g8, fan8):
         inverse = g8.index[d.character.inverse()]
         for label, coeff in d.entries:
             assert coeff == -shifts[label][inverse]
+
+
+@pytest.mark.parametrize("kind", ["none", "off_grid"])
+@SHORT
+@given(data=st.data())
+def test_derived_sets_share_one_value_pool(kind, data):
+    group, _, family = data.draw(perturbed_sets(kind))
+    chars = group.characters()
+    reflected = reflect(family)
+    derived = [reflected, reflect(reflected)] + [
+        _outcome(lambda_shift, family, lam) for lam in chars]
+    assert derived == [reflect_fraction(family),
+                       reflect_fraction(reflect_fraction(family))] + [
+        _outcome(lambda_shift_fraction, family, lam) for lam in chars]
+    # every value n / D of the sets derived from one set is one object
+    seen = {}
+    sets = [s for s in derived if isinstance(s, ReductorSet)]
+    for d in itertools.chain(*(s.divisors for s in sets)):
+        for _, q in d.entries:
+            assert type(q) is Fraction and seen.setdefault(q, q) is q
+
+
+def test_derived_sets_read_the_pool_of_their_own_denominator(g8, fan8):
+    fam = canonical_family(fan8, g8)
+    # no derivation reads the first of two divisors of one character, so
+    # a shift of this set has the common denominator 8 against its 24
+    odd = GWeilDivisor(fam.divisors[3].character, ((4, Q(1, 3)),))
+    source = ReductorSet(fam.divisors[:3] + (odd,) + fam.divisors[3:])
+    lam = g8.characters()[5]
+    shifted = lambda_shift(source, lam)
+    assert (source.scaled[0], shifted.scaled[0]) == (24, 8)
+    assert shifted == lambda_shift_fraction(source, lam)
+    assert reflect(shifted) == reflect_fraction(shifted)
+    for lam in g8.characters():
+        assert lambda_shift(shifted, lam) == lambda_shift_fraction(shifted,
+                                                                   lam)
 
 
 def test_bounds_check_reports(g8, fan8):
@@ -564,6 +644,26 @@ def test_reductor_piece_shifted_family(g8, fan8):
     assert exps[5] == (2, 0, -1)
     assert exps[6] == (1, 1, -1)
     assert exps[7] == (2, 1, -1)
+
+
+def test_one_column_map_per_set(g8, fan8, monkeypatch):
+    made = []
+    by_label = family_module.by_label
+
+    def counted(scaled):
+        made.append(scaled)
+        return by_label(scaled)
+
+    monkeypatch.setattr(family_module, "by_label", counted)
+    fam, other = canonical_family(fan8, g8), maximal_shift_family(fan8, g8)
+    for members in (fam, other):
+        check_reductor(members, fan8, g8)
+        bounds_check(members, fan8, g8)
+        for cone in fan8.cones:
+            reductor_piece(members, cone, fan8, g8)
+            quiver(members, cone, fan8, g8)
+    equivalence_witness(fam, other, fan8, g8)
+    assert made == [fam.scaled, other.scaled]
 
 
 def test_foreign_cone_rejected_by_name(g8, fan8):
@@ -672,6 +772,12 @@ def test_equivalence_witness_rejects_different_groups(g8, fan8, g3, fan3):
     with pytest.raises(ValueError, match="different character groups"):
         equivalence_witness(canonical_family(fan8, g8),
                             canonical_family(fan3, g3), fan8, g8)
+
+
+def test_equivalence_witness_rejects_empty_sets(g8, fan8):
+    empty = ReductorSet(())
+    with pytest.raises(ValueError, match="^need exactly one divisor per "):
+        equivalence_witness(empty, empty, fan8, g8)
 
 
 def test_equivalence_self(g8, fan8):
