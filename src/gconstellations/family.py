@@ -23,6 +23,7 @@ from math import prod
 from operator import attrgetter, getitem, mod, mul, neg, sub
 
 from .gdivisor import (
+    _ZERO,
     GWeilDivisor,
     Scaled,
     by_label,
@@ -78,8 +79,13 @@ class ReductorSet(Record):
 
     @cached_property
     def _rows(self) -> dict[tuple, tuple[int, ...]]:
-        return {(c.residues, c.orders): row
+        """Each divisor's scaled row by its character's (residues, orders);
+        ValueError when two divisors share a character."""
+        rows = {(c.residues, c.orders): row
                 for c, row in zip(self.characters, self.scaled[2])}
+        if len(rows) != len(self.characters):
+            raise ValueError(_STRUCTURE_ERROR)
+        return rows
 
 
 class ReductorReport(Record):
@@ -177,7 +183,8 @@ class PerRayTable(Record):
     kept as positions: a row p gives the k-th character the coefficient
     values[k][p[k]], where values[k] lists its candidates from low to high.
     A row is bytes when every values[k] has at most 256 entries, else a
-    tuple of ints; both index alike."""
+    tuple of ints; both index alike. In enumerate_normalized's tables each
+    candidate is the enumeration's one object of its value."""
 
     ray_label: int
     characters: tuple[Character, ...]
@@ -290,28 +297,59 @@ class NormalizedEnumeration(Record):
                         for k in order] or no_rays)
 
     def sets(self, limit: int | None = None) -> Iterator[ReductorSet]:
+        """The sets in stream order, each making its divisors on first read.
+        They hold the tables' candidates and the enumeration's value pool,
+        which the sets derived from them read: one object per value per
+        enumeration."""
         chars = self.group.characters()
+        pool = self.__dict__.setdefault("_pool", _value_pool())
         for cells in self.cells(lambda label, q: (label, q), limit):
             lazy = object.__new__(ReductorSet)
-            lazy.__dict__["_cells"] = zip(chars, cells)
+            lazy.__dict__.update(_cells=zip(chars, cells), _pool=pool)
             yield lazy
 
 
+def _value_pool() -> tuple[dict, dict]:
+    """An empty value pool (by_scale, values): by_scale[D][n] is its one
+    Fraction n / D and values maps the value's as_integer_ratio() to that
+    object; its zero is the one coefficient() returns for a missing label."""
+    return {}, {(0, 1): _ZERO}
+
+
 def enumerate_normalized(fan: Fan, group: GroupData) -> NormalizedEnumeration:
-    """Complete classification: Cartesian product of the per-ray tables."""
-    tables = tuple(enumerate_per_ray(ray, group) for ray in fan.rays)
+    """Complete classification: Cartesian product of the per-ray tables,
+    whose candidates come from the enumeration's value pool."""
+    pool = _value_pool()
+    values = pool[1]
+    tables = []
+    for ray in fan.rays:  # each table made alone, its candidates then pooled
+        table = enumerate_per_ray(ray, group)
+        tables.append(PerRayTable(
+            table.ray_label, table.characters,
+            tuple(tuple(values.setdefault(v.as_integer_ratio(), v)
+                        for v in candidates)
+                  for candidates in table.values), table.positions))
     count = prod(len(t.positions) for t in tables)
-    return NormalizedEnumeration(group, tables, count)
+    enumeration = NormalizedEnumeration(group, tuple(tables), count)
+    enumeration.__dict__["_pool"] = pool
+    return enumeration
 
 
 def _unscaled(family: ReductorSet, rows: list[list[int]]) -> ReductorSet:
-    """The family's characters with coefficients rows / D at its labels;
-    each n / D is made once in a pool by D and n that derived sets share."""
+    """The family's characters with coefficients rows / D at its labels,
+    each n / D the one object of its value in the family's pool, which the
+    derived set keeps: a set of sets() and all derived from it read one pool
+    per enumeration, and a miss on (D, n) finds an equal value there."""
     scale, labels, _ = family.scaled
-    pool = family.__dict__.setdefault("_pool", {})
-    exact = pool.setdefault(scale, {})
+    held = family.__dict__
+    if "_pool" not in held:  # a set made otherwise starts a pool of its own
+        held["_pool"] = _value_pool()
+    pool = held["_pool"]
+    by_scale, values = pool
+    exact = by_scale.setdefault(scale, {})
     for n in set().union(*rows).difference(exact):
-        exact[n] = Fraction(n, scale)
+        value = Fraction(n, scale)
+        exact[n] = values.setdefault(value.as_integer_ratio(), value)
     derived = ReductorSet.from_divisors([
         GWeilDivisor._trusted(char, tuple(zip(
             itertools.compress(labels, row),
@@ -329,7 +367,7 @@ def lambda_shift(family: ReductorSet, lam: Character) -> ReductorSet:
     subtracted on the coefficients scaled by their common denominator and
     found by (residues, orders), the fields that make characters equal.
     KeyError when lam^-1 or some chi*lam^-1 has no divisor, ValueError
-    when a character is of another group than lam.
+    when a character is of another group than lam or has two divisors.
     """
     if not family.is_normalized:
         raise ValueError("lambda_shift expects a normalized set")
@@ -348,7 +386,8 @@ def lambda_shift(family: ReductorSet, lam: Character) -> ReductorSet:
 def reflect(family: ReductorSet) -> ReductorSet:
     """The dual family D'_chi = -D_{chi^-1}; an involution, negated on the
     coefficients scaled by their common denominator and found as in
-    lambda_shift. KeyError when some chi^-1 has no divisor."""
+    lambda_shift. KeyError when some chi^-1 has no divisor, ValueError
+    when a character has two."""
     by_char = family._rows
     return _unscaled(family, [
         list(map(neg, by_char[tuple(map(mod, map(neg, c.residues),

@@ -144,6 +144,15 @@ class GCartierDivisor(Record):
             raise ValueError(f"exponents must be integers: {exponents}")
         super().__init__(character, exponents)
 
+    @classmethod
+    def _trusted(cls, character: Character,
+                 exponents: tuple[tuple[int, ...], ...]) -> "GCartierDivisor":
+        """A divisor from exponents already in normal form: a tuple of
+        tuples of ints, as chart_exponents makes them."""
+        divisor = object.__new__(cls)
+        divisor.__dict__.update(character=character, exponents=exponents)
+        return divisor
+
 
 def congruence_violations(divisor: GWeilDivisor, fan: Fan,
                           group: GroupData) -> list[int]:
@@ -272,7 +281,7 @@ def weil_to_cartier(divisor: GWeilDivisor, fan: Fan,
                     group: GroupData) -> GCartierDivisor:
     """The chart monomial of the divisor on every cone, in cone order."""
     columns = chart_columns(by_label(scaled_coefficients((divisor,))), fan)
-    return GCartierDivisor(divisor.character, chart_exponents(
+    return GCartierDivisor._trusted(divisor.character, chart_exponents(
         (divisor,), columns, range(1, len(fan.cones) + 1), fan, group))
 
 

@@ -116,11 +116,31 @@ MUTANTS = (
            "GWeilDivisor._trusted(char, tuple(c))",
            ("tests/test_family.py",)),
     Mutant("one value pool for every D", "family.py",
-           "exact = pool.setdefault(scale, {})",
-           "exact = pool.setdefault(0, {})",
+           "exact = by_scale.setdefault(scale, {})",
+           "exact = by_scale.setdefault(0, {})",
            ("tests/test_family.py",)),
     Mutant("derived sets start a pool of their own", "family.py",
            "    derived.__dict__[\"_pool\"] = pool\n", "",
+           ("tests/test_family.py",)),
+    # one value pool per enumeration, shared by its tables, its sets and
+    # every set derived from them
+    Mutant("_unscaled keeps a fresh Fraction, not the pool's", "family.py",
+           "exact[n] = values.setdefault(value.as_integer_ratio(), value)",
+           "exact[n] = value",
+           ("tests/test_family.py",)),
+    Mutant("the candidates are built outside the pool", "family.py",
+           "tuple(tuple(values.setdefault(v.as_integer_ratio(), v)\n"
+           "                        for v in candidates)",
+           "tuple(tuple(candidates)",
+           ("tests/test_family.py",)),
+    Mutant("the zero candidate is not the shared zero", "family.py",
+           "    return {}, {(0, 1): _ZERO}\n",
+           "    return {}, {}\n",
+           ("tests/test_family.py",)),
+    Mutant("no duplicate-character check in the derivations", "family.py",
+           "        if len(rows) != len(self.characters):\n"
+           "            raise ValueError(_STRUCTURE_ERROR)\n",
+           "",
            ("tests/test_family.py",)),
 )
 

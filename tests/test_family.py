@@ -56,6 +56,7 @@ from test_scaled import (
     PERTURBATIONS,
     SHORT,
     _outcome,
+    group_and_fan,
     perturbed_sets,
 )
 
@@ -536,20 +537,74 @@ def test_derived_sets_share_one_value_pool(kind, data):
             assert type(q) is Fraction and seen.setdefault(q, q) is q
 
 
-def test_derived_sets_read_the_pool_of_their_own_denominator(g8, fan8):
+def test_derived_sets_read_the_pool_of_their_own_denominator(g8, fan8, g4,
+                                                            fan4):
+    # every set of one enumeration has one D, since a character's
+    # coefficient at a ray has a fixed fractional part, and a derivation
+    # keeps it; here the pool of derived D = 8 sets is handed to a D = 4
+    # set, whose derived sets must still read n / 4 and not n / 8
+    source = next(enumerate_normalized(fan8, g8).sets())
+    for lam in g8.characters():
+        lambda_shift(reflect(source), lam)
+    quarters = canonical_family(fan4, g4)
+    quarters.__dict__["_pool"] = source.__dict__["_pool"]
+    assert (source.scaled[0], quarters.scaled[0]) == (8, 4)
+    assert reflect(quarters) == reflect_fraction(quarters)
+    for lam in g4.characters():
+        assert lambda_shift(quarters, lam) == lambda_shift_fraction(quarters,
+                                                                    lam)
+
+
+def test_derivations_refuse_two_divisors_of_one_character(g8, fan8):
     fam = canonical_family(fan8, g8)
-    # no derivation reads the first of two divisors of one character, so
-    # a shift of this set has the common denominator 8 against its 24
     odd = GWeilDivisor(fam.divisors[3].character, ((4, Q(1, 3)),))
     source = ReductorSet(fam.divisors[:3] + (odd,) + fam.divisors[3:])
-    lam = g8.characters()[5]
-    shifted = lambda_shift(source, lam)
-    assert (source.scaled[0], shifted.scaled[0]) == (24, 8)
-    assert shifted == lambda_shift_fraction(source, lam)
-    assert reflect(shifted) == reflect_fraction(shifted)
+    (message,) = check_reductor(source, fan8, g8).structure_errors
+    with pytest.raises(ValueError, match=re.escape(message)):
+        reflect(source)
     for lam in g8.characters():
-        assert lambda_shift(shifted, lam) == lambda_shift_fraction(shifted,
-                                                                   lam)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lambda_shift(source, lam)
+
+
+def _one_object_per_value(group, fan, limit):
+    """The enumeration's tables equal enumerate_per_ray's, equal
+    candidates of any two tables are one object, a zero one is the zero
+    coefficient() returns, and every nonzero coefficient of a streamed set
+    and of its reflection and shifts is the table's candidate object, the
+    sets equalling their Fraction oracles."""
+    enumeration = enumerate_normalized(fan, group)
+    chars = group.characters()
+    zero = GWeilDivisor(group.trivial_character, ()).coefficient(1)
+    seen = {zero: zero}
+    candidates = {}
+    for ray, table in zip(fan.rays, enumeration.tables):
+        assert table == enumerate_per_ray(ray, group)
+        for char, values in zip(table.characters, table.values):
+            candidates[table.ray_label, char] = {v: v for v in values}
+            assert all(seen.setdefault(v, v) is v for v in values)
+    for family, oracle in zip(enumeration.sets(limit),
+                              sets_fraction(enumeration, limit)):
+        derived = [reflect(family)] + [lambda_shift(family, lam)
+                                       for lam in chars]
+        assert [family] + derived == [oracle, reflect_fraction(oracle)] + [
+            lambda_shift_fraction(oracle, lam) for lam in chars]
+        for d in itertools.chain(*(s.divisors for s in [family] + derived)):
+            for label, q in d.entries:
+                assert candidates[label, d.character][q] is q
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_one_object_per_value_per_enumeration(problem):
+    group, fan, _ = load_problem(problem)
+    _one_object_per_value(group, fan, 200)
+
+
+@SHORT
+@given(group_and_fan())
+def test_one_object_per_value_on_generated_fans(case):
+    _one_object_per_value(*case, 30)
 
 
 def test_bounds_check_reports(g8, fan8):

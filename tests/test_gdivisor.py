@@ -147,6 +147,34 @@ def test_weil_to_cartier_golden(g8, fan8):
     assert all(g8.weight(m) == chi(g8, 6) for m in cartier.exponents)
 
 
+def test_weil_to_cartier_builds_without_the_public_checks(g8, fan8,
+                                                           monkeypatch):
+    d = GWeilDivisor.from_map(chi(g8, 6), {4: Q(7, 4), 5: Q(1, 2),
+                                           7: Q(-1, 4)})
+    expected = GCartierDivisor(d.character, weil_to_cartier(
+        d, fan8, g8).exponents)
+
+    def refuse(self, character, exponents):
+        raise AssertionError("weil_to_cartier re-checked its exponents")
+
+    monkeypatch.setattr(GCartierDivisor, "__init__", refuse)
+    cartier = weil_to_cartier(d, fan8, g8)
+    assert type(cartier) is GCartierDivisor and cartier == expected
+    assert hash(cartier) == hash(expected) and repr(cartier) == repr(expected)
+    assert type(cartier.exponents) is tuple
+    assert all(type(m) is tuple and all(type(x) is int for x in m)
+               for m in cartier.exponents)
+
+
+@pytest.mark.parametrize("bad", [Q(4), Q(1, 2), 1.0, True, "1"])
+def test_cartier_divisor_rejects_non_int_exponents(g8, bad):
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        GCartierDivisor(chi(g8, 0), [[0, bad, 0]])
+    # lists of ints are copied into tuples
+    cartier = GCartierDivisor(chi(g8, 0), [[0, 1, 7]])
+    assert cartier.exponents == ((0, 1, 7),)
+
+
 def test_weil_to_cartier_rejects_congruence_violation(g8, fan8):
     bad = GWeilDivisor.from_map(chi(g8, 6), {4: Q(1, 3)})
     with pytest.raises(CongruenceViolationError):
