@@ -26,8 +26,6 @@ from .gdivisor import (
     _ZERO,
     GWeilDivisor,
     Scaled,
-    by_label,
-    chart_columns,
     chart_exponents,
     congruence_violations,
     divisor_from_json,
@@ -70,19 +68,17 @@ class ReductorSet(Record):
 
     @cached_property
     def scaled(self) -> Scaled:
-        """The divisors' scaled_coefficients (D, labels, rows)."""
+        """The divisors' scaled_coefficients (D, label -> column)."""
         return scaled_coefficients(self.divisors)
 
     @cached_property
-    def columns(self) -> tuple[int, dict[int, tuple[int, ...]]]:
-        return by_label(self.scaled)
-
-    @cached_property
     def _rows(self) -> dict[tuple, tuple[int, ...]]:
-        """Each divisor's scaled row by its character's (residues, orders);
-        ValueError when two divisors share a character."""
-        rows = {(c.residues, c.orders): row
-                for c, row in zip(self.characters, self.scaled[2])}
+        """Each divisor's scaled row by its character's (residues, orders),
+        empty when no label holds a coefficient; ValueError when two
+        divisors share a character."""
+        columns = self.scaled[1].values()
+        rows = {(c.residues, c.orders): row for c, row in zip(
+            self.characters, list(zip(*columns)) or itertools.repeat(()))}
         if len(rows) != len(self.characters):
             raise ValueError(_STRUCTURE_ERROR)
         return rows
@@ -126,7 +122,7 @@ def _ray_columns(family: ReductorSet, fan: Fan):
     """(ray, D, q) per fan ray: D is the set's common denominator and q[k]
     is D * D_e times the k-th divisor's coefficient at the ray, for the
     ray's D_e, so q compares as ints with D times the ray's scaled values."""
-    scale, columns = family.columns
+    scale, columns = family.scaled
     zeros = (0,) * len(family.divisors)
     for ray in fan.rays:
         d_e = ray.scaled[0]
@@ -340,7 +336,7 @@ def _unscaled(family: ReductorSet, rows: list[list[int]]) -> ReductorSet:
     each n / D the one object of its value in the family's pool, which the
     derived set keeps: a set of sets() and all derived from it read one pool
     per enumeration, and a miss on (D, n) finds an equal value there."""
-    scale, labels, _ = family.scaled
+    scale, columns = family.scaled
     held = family.__dict__
     if "_pool" not in held:  # a set made otherwise starts a pool of its own
         held["_pool"] = _value_pool()
@@ -352,7 +348,7 @@ def _unscaled(family: ReductorSet, rows: list[list[int]]) -> ReductorSet:
         exact[n] = values.setdefault(value.as_integer_ratio(), value)
     derived = ReductorSet.from_divisors([
         GWeilDivisor._trusted(char, tuple(zip(
-            itertools.compress(labels, row),
+            itertools.compress(columns, row),
             map(exact.__getitem__, filter(None, row)))))
         for char, row in zip(family.characters, rows)
     ])
@@ -470,7 +466,7 @@ def reductor_piece(family: ReductorSet, cone: Cone, fan: Fan,
         raise ValueError(f"cone {cone.labels} is not a cone of the fan")
     k = k or fan.cones.index(cone) + 1
     return ReductorPiece(cone, family.characters, chart_exponents(
-        family.divisors, chart_columns(family.columns, fan), (k,), fan, group))
+        family.divisors, family.scaled, (k,), fan, group))
 
 
 class QuiverArrow(Record):
@@ -602,7 +598,7 @@ def equivalence_witness(a: ReductorSet, b: ReductorSet, fan: Fan,
         raise ValueError(_STRUCTURE_ERROR)
     first = b.divisors[0] - a.divisors[0]
     # the others as ints over D_a * D_b: b - a is constant along each label
-    (da, ca), (db, cb) = a.columns, b.columns
+    (da, ca), (db, cb) = a.scaled, b.scaled
     zeros = (0,) * len(a.divisors)
     if any(len({y * da - x * db for x, y in zip(ca.get(label, zeros),
                                                 cb.get(label, zeros))}) > 1

@@ -22,8 +22,7 @@ from .toric import Fan, NotBasicError, pairing, rational
 
 _ZERO = Fraction(0)
 
-Scaled = tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]
-Columns = tuple[int, dict[int, tuple[int, ...]], list[int]]
+Scaled = tuple[int, dict[int, tuple[int, ...]]]
 
 
 class CongruenceViolationError(ValueError):
@@ -111,10 +110,6 @@ class GWeilDivisor(Record):
     def as_map(self) -> dict[int, Fraction]:
         return dict(self.entries)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def __add__(self, other: "GWeilDivisor") -> "GWeilDivisor":
         coeffs = self.as_map()
         for label, c in other.entries:
@@ -175,47 +170,33 @@ def congruence_violations(divisor: GWeilDivisor, fan: Fan,
 
 
 def scaled_coefficients(divisors: Sequence[GWeilDivisor]) -> Scaled:
-    """(D, labels, rows): D is the lcm of the coefficients' denominators,
-    labels the ray labels holding a nonzero coefficient, in increasing
-    order, and rows[k][l] is D times the k-th divisor's coefficient at
-    labels[l]."""
+    """(D, columns): D is the lcm of the coefficients' denominators and
+    columns[label] is D times each divisor's coefficient at that label, for
+    the labels holding a nonzero coefficient, in increasing order."""
     entries = [d.entries for d in divisors]
     scale = lcm(*(c.denominator for e in entries for _, c in e))
-    labels = tuple(sorted({label for e in entries for label, _ in e}))
-    position = {label: l for l, label in enumerate(labels)}
-    rows = []
-    for e in entries:
-        row = [0] * len(labels)
+    columns = {label: [0] * len(entries)
+               for label in sorted({label for e in entries for label, _ in e})}
+    for k, e in enumerate(entries):
         for label, c in e:
-            row[position[label]] = c.numerator * (scale // c.denominator)
-        rows.append(tuple(row))
-    return scale, labels, tuple(rows)
+            columns[label][k] = c.numerator * (scale // c.denominator)
+    return scale, {label: tuple(column) for label, column in columns.items()}
 
 
-def by_label(scaled: Scaled) -> tuple[int, dict[int, tuple[int, ...]]]:
-    """(D, columns): columns[label] is D times each coefficient there."""
-    scale, labels, rows = scaled
-    return scale, dict(zip(labels, zip(*rows)))
-
-
-def chart_columns(columns: tuple[int, dict], fan: Fan) -> Columns:
-    """(D, columns, foreign) from by_label, foreign the labels off the fan."""
-    return (*columns, sorted(set(columns[1]).difference(
-        ray.label for ray in fan.rays)))
-
-
-def chart_exponents(divisors: Sequence[GWeilDivisor], columns: Columns,
+def chart_exponents(divisors: Sequence[GWeilDivisor], scaled: Scaled,
                     ks: Sequence[int], fan: Fan,
                     group: GroupData) -> tuple[tuple[int, ...], ...]:
     """The chart monomial of each divisor on each k-th cone of ks (1-based),
     in cone order, then divisor order: the cone's dual basis weighted by the
-    divisor's chart_columns entries at its rays, summed and divided by D, one
-    dual column at a time over all (cone, divisor) pairs at once. Per cone,
-    as from one call each: ValueError unless k is an int in 1..len(fan.cones),
+    divisor's column entries at its rays, from the divisors'
+    scaled_coefficients (D, columns), summed and divided by D, one dual
+    column at a time over all (cone, divisor) pairs at once. Per cone, as
+    from one call each: ValueError unless k is an int in 1..len(fan.cones),
     NotBasicError unless the rays form a lattice basis, then a
     CongruenceViolationError naming a coefficient off the fan, or the first
     exponent that is not integral or not of its divisor's weight."""
-    scale, columns, foreign = columns
+    scale, columns = scaled
+    foreign = sorted(set(columns).difference(ray.label for ray in fan.rays))
     cones = []
     try:
         for k in ks:
@@ -233,8 +214,7 @@ def chart_exponents(divisors: Sequence[GWeilDivisor], columns: Columns,
                     f"coefficients on rays {foreign}, which are not in the fan")
             cones.append(cone)
     except ValueError:  # the exponents on the cones before raise theirs first
-        chart_exponents(divisors, (scale, columns, foreign), ks[:len(cones)],
-                        fan, group)
+        chart_exponents(divisors, scaled, ks[:len(cones)], fan, group)
         raise
     zeros = (0,) * len(divisors)
     # per cone, D times each divisor's coefficients at the cone's rays;
@@ -273,16 +253,16 @@ def chart_monomial(divisor: GWeilDivisor, k: int, fan: Fan,
                    group: GroupData) -> tuple[int, ...]:
     """The Laurent exponent m that cuts out the divisor on the k-th cone
     (1-based), by chart_exponents and with its errors."""
-    columns = chart_columns(by_label(scaled_coefficients((divisor,))), fan)
-    return chart_exponents((divisor,), columns, (k,), fan, group)[0]
+    return chart_exponents((divisor,), scaled_coefficients((divisor,)), (k,),
+                           fan, group)[0]
 
 
 def weil_to_cartier(divisor: GWeilDivisor, fan: Fan,
                     group: GroupData) -> GCartierDivisor:
     """The chart monomial of the divisor on every cone, in cone order."""
-    columns = chart_columns(by_label(scaled_coefficients((divisor,))), fan)
     return GCartierDivisor._trusted(divisor.character, chart_exponents(
-        (divisor,), columns, range(1, len(fan.cones) + 1), fan, group))
+        (divisor,), scaled_coefficients((divisor,)),
+        range(1, len(fan.cones) + 1), fan, group))
 
 
 def cartier_to_weil(cartier: GCartierDivisor, fan: Fan,

@@ -257,13 +257,13 @@ def make_fan(
 ) -> Fan:
     """Assemble a Fan from raw vectors and 1-based ray index lists."""
     rays = tuple(Ray(i + 1, vec) for i, vec in enumerate(ray_vectors))
-    by_label = {r.label: r for r in rays}
+    ray_of = {r.label: r for r in rays}
     cones = []
     for indices in cone_indices:
         if any(type(i) is not int for i in indices):
             raise ValueError(f"cone {list(indices)} needs integer ray indices")
         try:
-            cones.append(Cone(tuple(by_label[i] for i in indices)))
+            cones.append(Cone(tuple(ray_of[i] for i in indices)))
         except KeyError as exc:
             raise ValueError(f"cone {list(indices)} references unknown ray "
                              f"{exc.args[0]}") from None

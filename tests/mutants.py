@@ -101,8 +101,8 @@ MUTANTS = (
            ("tests/test_chart_scaled.py",)),
     Mutant("a structural error before the errors of earlier cones",
            "gdivisor.py",
-           "        chart_exponents(divisors, (scale, columns, foreign), "
-           "ks[:len(cones)],\n                        fan, group)\n",
+           "        chart_exponents(divisors, scaled, ks[:len(cones)], fan, "
+           "group)\n",
            "",
            ("tests/test_chart_generated.py",)),
     # sets that make their divisors on first read, and the value pool of
@@ -141,6 +141,22 @@ MUTANTS = (
            "        if len(rows) != len(self.characters):\n"
            "            raise ValueError(_STRUCTURE_ERROR)\n",
            "",
+           ("tests/test_family.py",)),
+    # one scaled form (D, label -> column) per set of divisors
+    Mutant("scaled_coefficients keeps labels in first-seen order",
+           "gdivisor.py",
+           "for label in sorted({label for e in entries for label, _ in e})}",
+           "for label in dict.fromkeys(label for e in entries "
+           "for label, _ in e)}",
+           ("tests/test_family.py",)),
+    Mutant("chart_exponents treats no label as off the fan", "gdivisor.py",
+           "foreign = sorted(set(columns).difference(ray.label for ray in "
+           "fan.rays))",
+           "foreign = []",
+           ("tests/test_chart_generated.py",)),
+    Mutant("an empty column map gives no rows", "family.py",
+           "list(zip(*columns)) or itertools.repeat(())",
+           "zip(*columns)",
            ("tests/test_family.py",)),
 )
 

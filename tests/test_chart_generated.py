@@ -55,8 +55,6 @@ from gconstellations import (
 )
 from gconstellations.cli import load_problem
 from gconstellations.gdivisor import (
-    by_label,
-    chart_columns,
     chart_exponents,
     scaled_coefficients,
 )
@@ -198,11 +196,11 @@ def test_non_basic_cone_raises_on_every_call(problem):
         assert _error(weil_to_cartier, divisor, one_cone, group) == error
 
 
-def _per_cone(divisors, columns, ks, fan, group):
+def _per_cone(divisors, scaled, ks, fan, group):
     """chart_exponents made one call per cone, as weil_to_cartier made it
     before its one pass: the same exponents, or the same first error."""
     return tuple(m for k in ks
-                 for m in chart_exponents(divisors, columns, (k,), fan, group))
+                 for m in chart_exponents(divisors, scaled, (k,), fan, group))
 
 
 def _outcome(convert, *args):
@@ -249,12 +247,11 @@ def test_one_pass_raises_the_first_error_of_the_per_cone_loop(problem):
             for divisors in ((d,), _replaced(family, c, d).divisors):
                 scaled = scaled_coefficients(divisors)
                 for variant in fans:
-                    columns = chart_columns(by_label(scaled), variant)
                     for ks in orders:
-                        outcome = _outcome(chart_exponents, divisors, columns,
+                        outcome = _outcome(chart_exponents, divisors, scaled,
                                            ks, variant, group)
                         assert outcome == _outcome(_per_cone, divisors,
-                                                   columns, ks, variant, group)
+                                                   scaled, ks, variant, group)
                         errors.add(outcome[0])
     assert {ValueError, NotBasicError, CongruenceViolationError} <= errors
 

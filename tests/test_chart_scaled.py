@@ -29,7 +29,7 @@ from gconstellations import (
 from gconstellations import family as family_module
 from gconstellations import gdivisor
 from gconstellations.cli import load_problem
-from gconstellations.gdivisor import chart_columns, chart_exponents
+from gconstellations.gdivisor import chart_exponents
 from oracles import chart_exponents_fraction, pairing_fraction, quiver_fraction
 from strategies import off_grid_denominator
 
@@ -110,9 +110,8 @@ def test_one_pass_over_cones_and_divisors_matches_fraction_oracle(
         for divisor in family.divisors:
             cartier = weil_to_cartier(divisor, fan, group)
             assert cartier_to_weil(cartier, fan, group) == divisor
-        exponents = chart_exponents(family.divisors,
-                                    chart_columns(family.columns, fan),
-                                    ks, fan, group)
+        exponents = chart_exponents(family.divisors, family.scaled, ks, fan,
+                                    group)
         assert exponents == tuple(
             m for k in ks for m in chart_exponents_fraction(
                 fan.cones[k - 1], fan.lattice, [
@@ -126,9 +125,9 @@ def test_one_chart_exponents_call_per_conversion(case, monkeypatch):
     calls = []
     original = gdivisor.chart_exponents
 
-    def counted(divisors, columns, ks, fan, group):
+    def counted(divisors, scaled, ks, fan, group):
         calls.append((len(divisors), list(ks)))
-        return original(divisors, columns, ks, fan, group)
+        return original(divisors, scaled, ks, fan, group)
 
     monkeypatch.setattr(gdivisor, "chart_exponents", counted)
     monkeypatch.setattr(family_module, "chart_exponents", counted)

@@ -394,7 +394,12 @@ def test_enumeration_limit(g8, fan8):
 def test_enumeration_trivial_group(g1, fan1):
     (only,) = list(enumerate_normalized(fan1, g1).sets())
     assert only.is_normalized
-    assert all(d.is_zero for d in only.divisors)
+    assert all(not d.entries for d in only.divisors)
+    # no nonzero coefficient: the column map is empty and the rows that
+    # reflect and lambda_shift read have no columns to transpose
+    assert only.scaled == (1, {})
+    assert reflect(only) == only
+    assert lambda_shift(only, g1.trivial_character) == only
 
 
 def test_sets_build_divisors_on_first_read(g8, fan8, monkeypatch):
@@ -481,16 +486,16 @@ def test_lambda_shift_composition(g3, fan3):
 def test_reductor_set_scaled_form(kind, data):
     group, _, family = data.draw(perturbed_sets(kind))
     cold = ReductorSet(family.divisors)
-    scale, labels, rows = family.scaled
+    scale, columns = family.scaled
     coeffs = [d.as_map() for d in family.divisors]
     assert scale == lcm(*(c.denominator for cm in coeffs for c in cm.values()))
-    assert labels == tuple(sorted(
-        {label for cm in coeffs for label, c in cm.items() if c}))
-    assert len(rows) == len(coeffs)
-    for row, cm in zip(rows, coeffs):
-        assert len(row) == len(labels)
-        assert all(type(n) is int for n in row)
-        assert [Q(n, scale) for n in row] == [cm.get(l, 0) for l in labels]
+    assert list(columns) == sorted(
+        {label for cm in coeffs for label, c in cm.items() if c})
+    for label, column in columns.items():
+        assert len(column) == len(coeffs)
+        assert all(type(n) is int for n in column)
+        assert [Q(n, scale) for n in column] == [cm.get(label, 0)
+                                                 for cm in coeffs]
     # the operations give the same set whether or not scaled was read first
     assert "scaled" not in vars(cold)
     assert _outcome(reflect, cold) == _outcome(reflect, family)
@@ -703,13 +708,13 @@ def test_reductor_piece_shifted_family(g8, fan8):
 
 def test_one_column_map_per_set(g8, fan8, monkeypatch):
     made = []
-    by_label = family_module.by_label
+    scaled_coefficients = family_module.scaled_coefficients
 
-    def counted(scaled):
-        made.append(scaled)
-        return by_label(scaled)
+    def counted(divisors):
+        made.append(divisors)
+        return scaled_coefficients(divisors)
 
-    monkeypatch.setattr(family_module, "by_label", counted)
+    monkeypatch.setattr(family_module, "scaled_coefficients", counted)
     fam, other = canonical_family(fan8, g8), maximal_shift_family(fan8, g8)
     for members in (fam, other):
         check_reductor(members, fan8, g8)
@@ -718,7 +723,7 @@ def test_one_column_map_per_set(g8, fan8, monkeypatch):
             reductor_piece(members, cone, fan8, g8)
             quiver(members, cone, fan8, g8)
     equivalence_witness(fam, other, fan8, g8)
-    assert made == [fam.scaled, other.scaled]
+    assert made == [fam.divisors, other.divisors]
 
 
 def test_foreign_cone_rejected_by_name(g8, fan8):
