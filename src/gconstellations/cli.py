@@ -520,9 +520,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    command = "gcon"
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
+        command = f"gcon {args.command}"
         try:
             # a wrapper set on cli.load_problem must see this one load
             code = args.func(args, *load_problem(args.input))
@@ -541,6 +543,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CommandError as exc:
         print(json.dumps({"error": exc.label, **exc.payload}, indent=2))
         return exc.code
+    except (MemoryError, RecursionError) as exc:
+        limit = "memory" if isinstance(exc, MemoryError) else "recursion depth"
+    # reported past the handler, whose traceback holds what used the memory
+    print(json.dumps({"error": "out of resources",
+                      "detail": f"{command} ran out of {limit}"}, indent=2))
+    return 1
 
 
 def console_main():

@@ -27,9 +27,9 @@ from .gdivisor import (
     GWeilDivisor,
     Scaled,
     chart_exponents,
-    congruence_violations,
     divisor_from_json,
     divisor_to_json,
+    incongruent_rays,
     linear_equivalence_witness,
     monomial_string,
     scaled_coefficients,
@@ -123,7 +123,7 @@ def _ray_columns(family: ReductorSet, fan: Fan):
     is D * D_e times the k-th divisor's coefficient at the ray, for the
     ray's D_e, so q compares as ints with D times the ray's scaled values."""
     scale, columns = family.scaled
-    zeros = (0,) * len(family.divisors)
+    zeros = (0,) * len(family.characters)
     for ray in fan.rays:
         d_e = ray.scaled[0]
         yield ray, scale, [n * d_e for n in columns.get(ray.label, zeros)]
@@ -132,13 +132,13 @@ def _ray_columns(family: ReductorSet, fan: Fan):
 def check_reductor(family: ReductorSet, fan: Fan,
                    group: GroupData) -> ReductorReport:
     """Verify structure, congruences and the multiplication inequalities,
-    the inequalities on ints over each ray's common denominator."""
+    all on the set's scaled form (D, label -> column) as ints."""
     chars = family.characters
     if list(chars) != group.characters():
         return ReductorReport((_STRUCTURE_ERROR,), (), ())
     congruence = tuple(
-        (d.character, label) for d in family.divisors
-        for label in congruence_violations(d, fan, group)
+        (char, label) for k, char in enumerate(chars)
+        for label in incongruent_rays(family.scaled, k, k, fan, group)
     )
     condition = []
     for ray, scale, q in _ray_columns(family, fan):
@@ -426,8 +426,7 @@ def bounds_check(family: ReductorSet, fan: Fan,
     violations = []
     for ray, scale, q in _ray_columns(family, fan):
         shifts = [n * scale for n in group.scaled_paths(ray.scaled)]
-        for divisor, qk in zip(family.divisors, q):
-            char = divisor.character
+        for char, qk in zip(family.characters, q):
             i = group.index[char]
             if qk > shifts[i]:
                 violations.append((char, ray.label, "upper"))
@@ -466,7 +465,7 @@ def reductor_piece(family: ReductorSet, cone: Cone, fan: Fan,
         raise ValueError(f"cone {cone.labels} is not a cone of the fan")
     k = k or fan.cones.index(cone) + 1
     return ReductorPiece(cone, family.characters, chart_exponents(
-        family.divisors, family.scaled, (k,), fan, group))
+        family.characters, family.scaled, (k,), fan, group))
 
 
 class QuiverArrow(Record):
@@ -533,11 +532,8 @@ def quiver(family: ReductorSet, cone: Cone, fan: Fan,
         coordinates = zip(*(at_ray[j] for at_ray in per_ray))
         for out, char, t, label, coords in zip(
                 arrows, chars, targets, labels, coordinates):
-            arrow = object.__new__(QuiverArrow)  # as GWeilDivisor._trusted
-            arrow.__dict__.update(source=char, target=chars[t],
-                                  coordinate=j + 1, exponent=label,
-                                  cone_coordinates=coords)
-            out.append(arrow)
+            out.append(QuiverArrow._trusted(char, chars[t], j + 1, label,
+                                            coords))
     return QuiverRep(cone, chars, tuple(itertools.chain(*arrows)))
 
 

@@ -88,15 +88,6 @@ class GWeilDivisor(Record):
         super().__init__(character, tuple(cleaned))
 
     @classmethod
-    def _trusted(cls, character: Character,
-                 entries: tuple[tuple[int, Fraction], ...]) -> "GWeilDivisor":
-        """A divisor from entries already in normal form: int labels in
-        increasing order, nonzero Fraction coefficients."""
-        divisor = object.__new__(cls)
-        divisor.__dict__.update(character=character, entries=entries)
-        return divisor
-
-    @classmethod
     def from_map(cls, character: Character,
                  coeffs: Mapping[int, Fraction]) -> "GWeilDivisor":
         return cls(character, tuple(coeffs.items()))
@@ -139,34 +130,25 @@ class GCartierDivisor(Record):
             raise ValueError(f"exponents must be integers: {exponents}")
         super().__init__(character, exponents)
 
-    @classmethod
-    def _trusted(cls, character: Character,
-                 exponents: tuple[tuple[int, ...], ...]) -> "GCartierDivisor":
-        """A divisor from exponents already in normal form: a tuple of
-        tuples of ints, as chart_exponents makes them."""
-        divisor = object.__new__(cls)
-        divisor.__dict__.update(character=character, exponents=exponents)
-        return divisor
 
-
-def congruence_violations(divisor: GWeilDivisor, fan: Fan,
-                          group: GroupData) -> list[int]:
-    """Labels of fan rays where the coefficient is not congruent mod Z to
-    the maximal shift (as every weight-chi valuation is), then labels not
-    in the fan; ValueError when the character is of another group."""
-    if divisor.character.orders != group.orders:
-        raise ValueError("characters of different groups")
-    i = group.index[divisor.character]
-    coeffs = divisor.as_map()
+def incongruent_rays(scaled: Scaled, k: int, i: int, fan: Fan,
+                     group: GroupData) -> list[int]:
+    """Labels of fan rays where the k-th divisor of the scaled form (D,
+    columns) has a coefficient not congruent mod Z to the maximal shift of
+    the group's i-th character (as every weight-chi valuation is), then the
+    labels not in the fan where that divisor has a coefficient."""
+    scale, columns = scaled
+    off_fan = dict(columns)
     bad = []
     for ray in fan.rays:
-        scale = ray.scaled[0]
+        d_e = ray.scaled[0]
         n = group.scaled_paths(ray.scaled)[i]
-        p, q = coeffs.pop(ray.label, _ZERO).as_integer_ratio()
-        # p / q - n / D is an integer iff D * p - n * q is 0 mod D * q
-        if (scale * p - n * q) % (scale * q):
+        column = off_fan.pop(ray.label, None)
+        q = column[k] if column else 0
+        # q / D - n / D_e is an integer iff q * D_e - n * D is 0 mod D * D_e
+        if (q * d_e - n * scale) % (scale * d_e):
             bad.append(ray.label)
-    return bad + sorted(coeffs)
+    return bad + [label for label, column in off_fan.items() if column[k]]
 
 
 def scaled_coefficients(divisors: Sequence[GWeilDivisor]) -> Scaled:
@@ -183,18 +165,18 @@ def scaled_coefficients(divisors: Sequence[GWeilDivisor]) -> Scaled:
     return scale, {label: tuple(column) for label, column in columns.items()}
 
 
-def chart_exponents(divisors: Sequence[GWeilDivisor], scaled: Scaled,
+def chart_exponents(chars: Sequence[Character], scaled: Scaled,
                     ks: Sequence[int], fan: Fan,
                     group: GroupData) -> tuple[tuple[int, ...], ...]:
     """The chart monomial of each divisor on each k-th cone of ks (1-based),
-    in cone order, then divisor order: the cone's dual basis weighted by the
-    divisor's column entries at its rays, from the divisors'
-    scaled_coefficients (D, columns), summed and divided by D, one dual
-    column at a time over all (cone, divisor) pairs at once. Per cone, as
-    from one call each: ValueError unless k is an int in 1..len(fan.cones),
-    NotBasicError unless the rays form a lattice basis, then a
-    CongruenceViolationError naming a coefficient off the fan, or the first
-    exponent that is not integral or not of its divisor's weight."""
+    in cone order, then divisor order, from the divisors' characters and
+    their scaled_coefficients (D, columns): the cone's dual basis weighted
+    by the divisor's column entries at its rays, summed and divided by D,
+    one dual column at a time over all (cone, divisor) pairs at once. Per
+    cone, as from one call each: ValueError unless k is an int in
+    1..len(fan.cones), NotBasicError unless the rays form a lattice basis,
+    then a CongruenceViolationError naming a coefficient off the fan, or the
+    first exponent that is not integral or not of its divisor's weight."""
     scale, columns = scaled
     foreign = sorted(set(columns).difference(ray.label for ray in fan.rays))
     cones = []
@@ -214,9 +196,9 @@ def chart_exponents(divisors: Sequence[GWeilDivisor], scaled: Scaled,
                     f"coefficients on rays {foreign}, which are not in the fan")
             cones.append(cone)
     except ValueError:  # the exponents on the cones before raise theirs first
-        chart_exponents(divisors, scaled, ks[:len(cones)], fan, group)
+        chart_exponents(chars, scaled, ks[:len(cones)], fan, group)
         raise
-    zeros = (0,) * len(divisors)
+    zeros = (0,) * len(chars)
     # per cone, D times each divisor's coefficients at the cone's rays;
     # sums[c] holds D times the c-th entry of every exponent
     at_rays = [list(zip(*map(columns.get, cone.labels, repeat(zeros))))
@@ -225,7 +207,6 @@ def chart_exponents(divisors: Sequence[GWeilDivisor], scaled: Scaled,
              for qs, column in zip(at_rays, dual) for q in qs]
             for dual in zip(*[cone.dual_columns for cone in cones])]
     exponents = tuple(zip(*([x // scale for x in s] for s in sums)))
-    chars = [d.character for d in divisors]
     weights = [[sum(map(mul, w, m)) % d for m in exponents]
                for w, d in zip(group.weights, group.orders)]
     if (fan.dim != group.dim or any(x % scale for s in sums for x in s)
@@ -233,19 +214,19 @@ def chart_exponents(divisors: Sequence[GWeilDivisor], scaled: Scaled,
                 zip(*weights)) != [c.residues for c in chars] * len(cones)):
         pairs = zip(zip(*sums), exponents)
         for k, cone in zip(ks, cones):
-            for divisor, (m, exponent) in zip(divisors, pairs):
+            for j, (char, (m, exponent)) in enumerate(zip(chars, pairs)):
                 if any(x % scale for x in m):
-                    bad = (divisor.character.orders == group.orders
-                           and congruence_violations(divisor, fan, group))
+                    bad = char.orders == group.orders and incongruent_rays(
+                        scaled, j, group.index[char], fan, group)
                     raise CongruenceViolationError(
                         f"coefficients violate the congruence invariant on "
                         f"rays {bad or cone.labels}; cone {k} exponent is "
                         "non-integral")
                 weight = group.weight(exponent)
-                if weight != divisor.character:
+                if weight != char:
                     raise CongruenceViolationError(
                         f"cone {k} exponent {exponent} has weight "
-                        f"{weight.name}, expected {divisor.character.name}")
+                        f"{weight.name}, expected {char.name}")
     return exponents
 
 
@@ -253,15 +234,15 @@ def chart_monomial(divisor: GWeilDivisor, k: int, fan: Fan,
                    group: GroupData) -> tuple[int, ...]:
     """The Laurent exponent m that cuts out the divisor on the k-th cone
     (1-based), by chart_exponents and with its errors."""
-    return chart_exponents((divisor,), scaled_coefficients((divisor,)), (k,),
-                           fan, group)[0]
+    return chart_exponents((divisor.character,),
+                           scaled_coefficients((divisor,)), (k,), fan, group)[0]
 
 
 def weil_to_cartier(divisor: GWeilDivisor, fan: Fan,
                     group: GroupData) -> GCartierDivisor:
     """The chart monomial of the divisor on every cone, in cone order."""
     return GCartierDivisor._trusted(divisor.character, chart_exponents(
-        (divisor,), scaled_coefficients((divisor,)),
+        (divisor.character,), scaled_coefficients((divisor,)),
         range(1, len(fan.cones) + 1), fan, group))
 
 

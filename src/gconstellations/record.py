@@ -19,6 +19,15 @@ class Record:
                             f"{self._fields}, not {len(values)} values")
         self.__dict__.update(zip(self._fields, values))
 
+    @classmethod
+    def _trusted(cls, *values):
+        """A record from field values already in normal form, in field
+        order: the one constructor that checks nothing, for classes whose
+        __init__ sets the fields alone."""
+        record = object.__new__(cls)
+        record.__dict__.update(zip(cls._fields, values))
+        return record
+
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented

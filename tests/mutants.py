@@ -101,7 +101,7 @@ MUTANTS = (
            ("tests/test_chart_scaled.py",)),
     Mutant("a structural error before the errors of earlier cones",
            "gdivisor.py",
-           "        chart_exponents(divisors, scaled, ks[:len(cones)], fan, "
+           "        chart_exponents(chars, scaled, ks[:len(cones)], fan, "
            "group)\n",
            "",
            ("tests/test_chart_generated.py",)),
@@ -158,6 +158,20 @@ MUTANTS = (
            "list(zip(*columns)) or itertools.repeat(())",
            "zip(*columns)",
            ("tests/test_family.py",)),
+    # the one integer congruence test and the one unchecked constructor
+    Mutant("congruence taken mod D, not mod D * D_e", "gdivisor.py",
+           "if (q * d_e - n * scale) % (scale * d_e):",
+           "if (q * d_e - n * scale) % scale:",
+           ("tests/test_gdivisor.py",)),
+    Mutant("the congruence test drops the labels off the fan", "gdivisor.py",
+           "    return bad + [label for label, column in off_fan.items() "
+           "if column[k]]\n",
+           "    return bad\n",
+           ("tests/test_gdivisor.py",)),
+    Mutant("Record._trusted fills the fields in reverse", "record.py",
+           "        record.__dict__.update(zip(cls._fields, values))",
+           "        record.__dict__.update(zip(cls._fields[::-1], values))",
+           ("tests/test_records.py",)),
 )
 
 

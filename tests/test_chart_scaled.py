@@ -110,8 +110,8 @@ def test_one_pass_over_cones_and_divisors_matches_fraction_oracle(
         for divisor in family.divisors:
             cartier = weil_to_cartier(divisor, fan, group)
             assert cartier_to_weil(cartier, fan, group) == divisor
-        exponents = chart_exponents(family.divisors, family.scaled, ks, fan,
-                                    group)
+        exponents = chart_exponents(family.characters, family.scaled, ks,
+                                    fan, group)
         assert exponents == tuple(
             m for k in ks for m in chart_exponents_fraction(
                 fan.cones[k - 1], fan.lattice, [
@@ -125,9 +125,9 @@ def test_one_chart_exponents_call_per_conversion(case, monkeypatch):
     calls = []
     original = gdivisor.chart_exponents
 
-    def counted(divisors, scaled, ks, fan, group):
-        calls.append((len(divisors), list(ks)))
-        return original(divisors, scaled, ks, fan, group)
+    def counted(chars, scaled, ks, fan, group):
+        calls.append((len(chars), list(ks)))
+        return original(chars, scaled, ks, fan, group)
 
     monkeypatch.setattr(gdivisor, "chart_exponents", counted)
     monkeypatch.setattr(family_module, "chart_exponents", counted)

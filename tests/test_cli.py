@@ -778,6 +778,23 @@ def test_malformed_json(capsys, tmp_path, command, content):
     assert "not valid JSON" in json.loads(out)["detail"]
 
 
+@pytest.mark.parametrize("command, target, error, limit", [
+    # 1/60(1,11,48) --limit 1 runs out of memory in the per-ray tables
+    ("enumerate", "enumerate_normalized", MemoryError, "memory"),
+    ("canonical", "canonical_family", RecursionError, "recursion depth"),
+], ids=["memory", "recursion"])
+def test_resource_errors_exit_1_with_json(capsys, monkeypatch, command,
+                                          target, error, limit):
+    def exhausted(*args):
+        raise error
+
+    monkeypatch.setattr(cli, target, exhausted)
+    code, out, err = run(capsys, command, "--input", RUNNING)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"error": "out of resources",
+                               "detail": f"gcon {command} ran out of {limit}"}
+
+
 def test_invalid_fan_rejected(capsys, tmp_path):
     problem = json.loads(Path(RUNNING).read_text())
     problem["fan"]["cones"][0] = [1, 2, 4]

@@ -15,6 +15,7 @@ from gconstellations import (
     bounds_check,
     cartier_to_weil,
     chart_monomial,
+    check_reductor,
     divisor_from_json,
     divisor_to_json,
     linear_equivalence_witness,
@@ -22,13 +23,24 @@ from gconstellations import (
     pairing,
     weil_to_cartier,
 )
-from gconstellations.gdivisor import congruence_violations, parse_character
+from gconstellations.gdivisor import (
+    incongruent_rays,
+    parse_character,
+    scaled_coefficients,
+)
 from oracles import frac
 from strategies import principal_divisor, shortest_paths
 
 
 def chi(g, k):
     return g.character((k,))
+
+
+def incongruent(divisor, fan, group):
+    """The divisor's labels by the one integer congruence test, on its own
+    scaled form."""
+    return incongruent_rays(scaled_coefficients((divisor,)), 0,
+                            group.index[divisor.character], fan, group)
 
 
 def frac_val(ray, char, group):
@@ -116,7 +128,7 @@ def test_principal_divisor(g8, fan8):
     assert d.character == chi(g8, 1)
     assert d.as_map() == {1: Q(1), 4: Q(1, 8), 5: Q(2, 8), 6: Q(4, 8),
                           7: Q(5, 8)}
-    assert congruence_violations(d, fan8, g8) == []
+    assert incongruent(d, fan8, g8) == []
     inv = principal_divisor((1, 1, 1), fan8, g8)
     assert inv.character.is_trivial
     # invariant monomials pair integrally with every lattice ray
@@ -126,11 +138,11 @@ def test_principal_divisor(g8, fan8):
 def test_congruence_violations(g8, fan8):
     ok = GWeilDivisor.from_map(chi(g8, 6), {4: Q(7, 4), 5: Q(1, 2),
                                             7: Q(-1, 4)})
-    assert congruence_violations(ok, fan8, g8) == []
+    assert incongruent(ok, fan8, g8) == []
     bad = GWeilDivisor.from_map(chi(g8, 6), {4: Q(1, 3)})
-    assert 4 in congruence_violations(bad, fan8, g8)
+    assert 4 in incongruent(bad, fan8, g8)
     phantom = GWeilDivisor.from_map(chi(g8, 0), {9: Q(1)})
-    assert 9 in congruence_violations(phantom, fan8, g8)
+    assert 9 in incongruent(phantom, fan8, g8)
 
 
 def test_weil_to_cartier_golden(g8, fan8):
@@ -252,7 +264,7 @@ def test_linear_equivalence_witness_incongruent(g8, fan8):
     # the trivial character needs integer coefficients; 1/8 at E7 is not
     a = GWeilDivisor.from_map(chi(g8, 0), {})
     b = GWeilDivisor.from_map(chi(g8, 0), {7: Q(1, 8)})
-    assert congruence_violations(b, fan8, g8) == [7]
+    assert incongruent(b, fan8, g8) == [7]
     assert linear_equivalence_witness(a, b, fan8, g8) is None
 
 
@@ -261,7 +273,7 @@ def test_label_off_the_fan_is_refused(g8, fan8):
     d = GWeilDivisor.from_map(chi(g8, 3), {4: Q(3, 8), 5: Q(6, 8),
                                            6: Q(4, 8), 7: Q(7, 8)})
     bad = GWeilDivisor(chi(g8, 3), d.entries + ((99, Q(5)),))
-    assert congruence_violations(bad, fan8, g8) == [99]
+    assert incongruent(bad, fan8, g8) == [99]
     text = r"^coefficients on rays \[99\], which are not in the fan$"
     with pytest.raises(CongruenceViolationError, match=text):
         weil_to_cartier(bad, fan8, g8)
@@ -277,8 +289,8 @@ def test_character_of_another_group_is_no_key_error(g8, fan8):
     # the character has no position among the group's
     d = GWeilDivisor(Character((1,), (4,)), ((1, Q(1, 3)),))
     text = "^characters of different groups$"
-    with pytest.raises(ValueError, match=text):
-        congruence_violations(d, fan8, g8)
+    assert check_reductor(ReductorSet((d,)), fan8, g8).structure_errors == (
+        "need exactly one divisor per character, sorted by residues",)
     with pytest.raises(ValueError, match=text):
         bounds_check(ReductorSet((d,)), fan8, g8)
     assert 1 in fan8.cones[0].labels

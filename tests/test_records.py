@@ -188,6 +188,17 @@ def test_constructors_check_their_arity(pairs, name):
         cls()
 
 
+# Character, GroupData and LatticeL keep values on the side from __init__
+@pytest.mark.parametrize("name", sorted(
+    set(FIELDS) - {"Character", "GroupData", "LatticeL"}))
+def test_trusted_constructor_fills_the_fields_in_order(pairs, name):
+    a, b = pairs[0][name], pairs[1][name]
+    trusted = type(a)._trusted(*(getattr(b, field) for field in FIELDS[name]))
+    assert type(trusted) is type(a)
+    assert trusted == a and hash(trusted) == hash(a)
+    assert repr(trusted) == repr(a)
+
+
 def test_trusted_constructors_match_the_validating_ones(pairs):
     group = pairs[0]["GroupData"]
     for residues in ((0,), (3,), (7,)):
