@@ -12,7 +12,7 @@ Before any mutant runs, every old text is looked up, so a record cannot go
 stale in silence, and the named test files must pass on an unedited copy,
 so a failure of their own is not read as a kill. The exit status is 0 only
 when every old text is found exactly once and every mutant is killed.
-Standard library only; it takes a minute or two.
+Standard library only; it takes about two minutes.
 """
 
 from __future__ import annotations
@@ -67,6 +67,10 @@ MUTANTS = (
     Mutant("bytes rows for 256 candidates only below 256", "family.py",
            "pack = bytes if all(len(v) <= 256 for v in candidates)",
            "pack = bytes if all(len(v) < 256 for v in candidates)",
+           ("tests/test_family.py",)),
+    Mutant("bytes rows for 257 candidates", "family.py",
+           "pack = bytes if all(len(v) <= 256 for v in candidates)",
+           "pack = bytes if all(len(v) <= 257 for v in candidates)",
            ("tests/test_family.py",)),
     Mutant("no orders check in lambda_shift", "family.py",
            "        if c.orders != orders:\n            raise ValueError("
@@ -171,6 +175,75 @@ MUTANTS = (
     Mutant("Record._trusted fills the fields in reverse", "record.py",
            "        record.__dict__.update(zip(cls._fields, values))",
            "        record.__dict__.update(zip(cls._fields[::-1], values))",
+           ("tests/test_records.py",)),
+    # a fan without rays still has one set, of one empty divisor per
+    # character
+    Mutant("no blank row for a fan without rays", "family.py",
+           "] or no_rays)", "])",
+           ("tests/test_family.py",)),
+    # records, the quiver's structure check and the equivalence test
+    Mutant("records compare their whole __dict__", "record.py",
+           "        return self._key(self) == self._key(other)",
+           "        return self.__dict__ == other.__dict__",
+           ("tests/test_records.py",)),
+    Mutant("a record's key reads its first field only", "record.py",
+           "cls._key = attrgetter(*cls._fields)",
+           "cls._key = attrgetter(cls._fields[0])",
+           ("tests/test_records.py",)),
+    Mutant("GWeilDivisor keeps its entries in the given order",
+           "gdivisor.py",
+           "        cleaned.sort()\n", "",
+           ("tests/test_records.py",)),
+    Mutant("quiver takes a set out of residue order", "family.py",
+           "    if list(family.characters) != group.characters():\n"
+           "        raise ValueError(_STRUCTURE_ERROR)\n"
+           "    piece = reductor_piece(family, cone, fan, group)\n",
+           "    piece = reductor_piece(family, cone, fan, group)\n",
+           ("tests/test_chart_generated.py",)),
+    Mutant("equivalence lets a difference take two values on a label",
+           "family.py",
+           "cb.get(label, zeros))}) > 1", "cb.get(label, zeros))}) > 2",
+           ("tests/test_family.py",)),
+    Mutant("a record accepts assignment", "record.py",
+           "        raise AttributeError(f\"cannot assign to field {name!r}\")",
+           "        object.__setattr__(self, name, value)",
+           ("tests/test_records.py",)),
+    Mutant("a record's repr without field names", "record.py",
+           "fields = \", \".join(f\"{name}={getattr(self, name)!r}\"",
+           "fields = \", \".join(f\"{getattr(self, name)!r}\"",
+           ("tests/test_records.py",)),
+    Mutant("quiver arrows in step-major order", "family.py",
+           "tuple(itertools.chain(*arrows))",
+           "tuple(itertools.chain(*zip(*arrows)))",
+           ("tests/test_chart_generated.py",)),
+    # the checks of the one chart pass and of cartier_to_weil
+    Mutant("no integrality scan in the one pass", "gdivisor.py",
+           "if (fan.dim != group.dim or any(x % scale for s in sums for x in s)",
+           "if (fan.dim != group.dim",
+           ("tests/test_chart_generated.py",)),
+    Mutant("no orders check in cartier_to_weil", "gdivisor.py",
+           "if (char.orders != group.orders or set(map(len, exponents))",
+           "if (set(map(len, exponents))",
+           ("tests/test_chart_generated.py",)),
+    Mutant("no dimension check in cartier_to_weil", "gdivisor.py",
+           "    if fan.cones and fan.dim != group.dim:",
+           "    if False:",
+           ("tests/test_chart_generated.py",)),
+    Mutant("no dimension check in the one pass", "gdivisor.py",
+           "if (fan.dim != group.dim or any(x % scale for s in sums for x in s)",
+           "if (any(x % scale for s in sums for x in s)",
+           ("tests/test_chart_generated.py",)),
+    Mutant("no orders check in the one pass", "gdivisor.py",
+           "            or any(c.orders != group.orders for c in chars) or list(",
+           "            or list(",
+           ("tests/test_chart_generated.py",)),
+    Mutant("gluing errors list their rays sorted", "gdivisor.py",
+           "bad = [label for label, seen in values.items() if len(seen) > 1]",
+           "bad = sorted(label for label, seen in values.items() "
+           "if len(seen) > 1)",
+           ("tests/test_chart_generated.py",)),
+    Mutant("the package imports typing", "group.py",
+           "import heapq\n", "import heapq\nimport typing\n",
            ("tests/test_records.py",)),
 )
 

@@ -1,14 +1,17 @@
 """End-to-end runs of the gcon command line through cli.main."""
 
+import hashlib
 import io
 import json
 import os
 import random
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction as Q
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import assume, given
@@ -397,6 +400,72 @@ def test_per_ray_into_closed_pipe(tmp_path):
     assert code == 0
     assert err == b""
     assert head.startswith(b'{\n  "count": ')
+
+
+class ChildRun(NamedTuple):
+    code: int
+    stdout: bytes
+    sha256: str
+    seconds: float
+    peak_rss_kib: int   # the child's own ru_maxrss, KiB on Linux
+
+
+def run_in_child(*argv, timeout):
+    """Run cli.main(argv) in a child process that reports its own peak RSS
+    on its last stderr line. The child runs under coreutils timeout, which
+    ends it with exit 124 after timeout seconds. timeout also forks it: a
+    child exec'd straight from pytest would count pytest's own peak in its
+    ru_maxrss, which Linux keeps across exec."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(gconstellations.__file__).parent.parent)
+    program = (
+        "import resource, sys\n"
+        "from gconstellations import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, "
+        "file=sys.stderr)\n"
+        "sys.exit(code)\n")
+    start = time.perf_counter()
+    done = subprocess.run(
+        ["timeout", str(timeout), sys.executable, "-c", program, *argv],
+        capture_output=True, env=env)
+    seconds = time.perf_counter() - start
+    return ChildRun(done.returncode, done.stdout,
+                    hashlib.sha256(done.stdout).hexdigest(), seconds,
+                    int(done.stderr.splitlines()[-1]))
+
+
+def test_junior_points_of_a_huge_cyclic_group(tmp_path):
+    # gcon info lists the junior points of 1/1000000(1,1) from the group's
+    # elements on ints in a few seconds, and walks them as an odometer, so
+    # its memory does not grow with |G|
+    path = tmp_path / "c1000000.json"
+    path.write_text(json.dumps({
+        "group": {"cyclic": {"order": 1000000, "weights": [1, 1]}},
+        "fan": {"rays": [["1", "0"], ["1/1000000", "1/1000000"], ["0", "1"]],
+                "cones": [[1, 2], [2, 3]]},
+    }))
+    done = run_in_child("info", "--input", str(path), timeout=20)
+    assert done.code == 0
+    assert "junior points: 3" in done.stdout.decode().splitlines()
+    assert done.peak_rss_kib < 30 * 1024, (done.seconds, done.peak_rss_kib)
+
+
+def test_per_ray_tables_stream_in_bounded_memory(tmp_path):
+    # the benchmark's seed-1 crepant fan of 1/30(1,4,25) has 21 MB of
+    # --per-ray tables; rows are bytes and the writer streams them, so no
+    # table's text is held
+    gen = perfbench_gen()
+    rng = random.Random(1)
+    path = tmp_path / "c30.json"
+    gen.write_problem(gen.crepant_fan_sl3(
+        gen.permuted(gen.Group((30,), ((1, 4, 25),)), rng), rng), str(path))
+    done = run_in_child("enumerate", "--input", str(path), "--per-ray",
+                        timeout=60)
+    assert done.code == 0
+    assert done.sha256 == (
+        "ae0f15a860652a8e4ac7d47f3c066396d2f2f1fd83760fe609e964bbed379cb7")
+    assert done.peak_rss_kib < 40 * 1024, (done.seconds, done.peak_rss_kib)
 
 
 @PROPERTIES

@@ -402,6 +402,20 @@ def test_enumeration_trivial_group(g1, fan1):
     assert lambda_shift(only, g1.trivial_character) == only
 
 
+def test_enumeration_of_a_fan_without_rays(g8):
+    # no tables: the product has one empty combination, and every
+    # character still gets its divisor, with no entries
+    fan = make_fan(build_lattice(g8), [], [])
+    enumeration = enumerate_normalized(fan, g8)
+    assert enumeration.count == 1
+    (only,) = list(enumeration.sets())
+    assert only.divisors == tuple(GWeilDivisor(c, ())
+                                  for c in g8.characters())
+    # the text cells of the JSONL stream: no cell for any character
+    (cells,) = list(enumeration.cells(lambda label, q: f"E{label}"))
+    assert [list(filter(None, c)) for c in cells] == [[]] * g8.order
+
+
 def test_sets_build_divisors_on_first_read(g8, fan8, monkeypatch):
     built = []
     trusted = GWeilDivisor._trusted

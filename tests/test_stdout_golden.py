@@ -60,6 +60,7 @@ def problem_digests(stem, workdir):
     record("enumerate --per-ray", "enumerate", "--per-ray")
     record("enumerate --count-only", "enumerate", "--count-only")
     record("enumerate --limit 50", "enumerate", "--limit", "50")
+    record("enumerate", "enumerate")
 
     sets = {}
     for which in ("canonical", "maxshift"):
@@ -95,6 +96,7 @@ GOLDEN = {
     'ab22_axes enumerate --per-ray': 'ee1f3ccd84442d43ef08d4dfb5869f6e44c7f4fa22ae369ee59ce75c3c8e9d54 0',
     'ab22_axes enumerate --count-only': '7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d 0',
     'ab22_axes enumerate --limit 50': '266f3c9f863264998ad65665cd0b0e6798f57935c21114ba9fe3de02fa7df60b 0',
+    'ab22_axes enumerate': '266f3c9f863264998ad65665cd0b0e6798f57935c21114ba9fe3de02fa7df60b 0',
     'ab22_axes piece canonical 1': '2973355b415b2389ebd4d7fe33383e89d759fdf81c5863b80daf9611954fe737 0',
     'ab22_axes quiver canonical 1': '1275d08f6f6d07216a05e81429ec597d298fb395efec59ccf04bbc2841b4e87b 0',
     'ab22_axes quiver --dot canonical 1': '2879e90b49ff837b069c255014cd6f674bcf600e33fe124a487aa15ec509f8a8 0',
@@ -110,6 +112,7 @@ GOLDEN = {
     'c2_11 enumerate --per-ray': 'edba4238956406bc40bd97912acd981ad8af88a6c32da6e6c731f4f1d2bcb2ad 0',
     'c2_11 enumerate --count-only': '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3 0',
     'c2_11 enumerate --limit 50': 'e61603fd940828da688a98c26ad0a730531f51085795e68dedf3a424b8bc525b 0',
+    'c2_11 enumerate': 'e61603fd940828da688a98c26ad0a730531f51085795e68dedf3a424b8bc525b 0',
     'c2_11 piece canonical 1': '69ba387a4d8854e81530d81a80905f9702a5fd120f503a1d8c49594a7e649363 0',
     'c2_11 quiver canonical 1': 'd528ae3777896a6ce973150834fc51768335b40c493bd6aaef987a2663ccd742 0',
     'c2_11 quiver --dot canonical 1': '1cfe39a5144606c60fb98601d571d818c953e398313d02f62aa79bfe6c7217af 0',
@@ -131,6 +134,7 @@ GOLDEN = {
     'c3_111 enumerate --per-ray': '199d8cc12598fc62578ed6bafc6c456291a7ff6d902016bfd1f0120a9eec0ccf 0',
     'c3_111 enumerate --count-only': '1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2 0',
     'c3_111 enumerate --limit 50': 'cda31e6386577300bcf1283b0c7026933f014e038f3f86f916e9c4c254373c1c 0',
+    'c3_111 enumerate': 'cda31e6386577300bcf1283b0c7026933f014e038f3f86f916e9c4c254373c1c 0',
     'c3_111 piece canonical 1': 'ad477e56aef1d41d134edcc4bd206b1e325bab8813454a5ae99932809b8fdb10 0',
     'c3_111 quiver canonical 1': '540dfbe53aca6ba4a9c10088c3ab6314654d6b9bcfc39fe80a8bafb01b64f4f7 0',
     'c3_111 quiver --dot canonical 1': '3cc3081bf58645e2f8b46dc9488eba49a675fdb11fad8b9d7e1ee075301ca4fa 0',
@@ -158,6 +162,7 @@ GOLDEN = {
     'c3_12 enumerate --per-ray': 'cfe8bf5b809618815da83845df859900c727a24e02582b173bf5d66e9bee976f 0',
     'c3_12 enumerate --count-only': '2e6d31a5983a91251bfae5aefa1c0a19d8ba3cf601d0e8a706b4cfa9661a6b8a 0',
     'c3_12 enumerate --limit 50': '3cef22fe62b1b0e33e09aee10161ac86b30258a784a6cf8242056fc7b5505ec3 0',
+    'c3_12 enumerate': '3cef22fe62b1b0e33e09aee10161ac86b30258a784a6cf8242056fc7b5505ec3 0',
     'c3_12 piece canonical 1': 'c035f584949ca22228633a3e60863f15acea2b0100176decd56f907f1926219c 0',
     'c3_12 quiver canonical 1': '2bedee20d4c0cc0858d82b18896a16521efab8912468e705bf7f42036c3753b2 0',
     'c3_12 quiver --dot canonical 1': 'f411dca0bd062f9bc41dea1ef6fdb4b2d2328b96d44b47e88f49841ca8b35b8a 0',
@@ -185,6 +190,7 @@ GOLDEN = {
     'c4_12 enumerate --per-ray': 'c1d4cbd34002790dc721e75cd939b35e7a0ab851cc0a523fa693d43cb685683b 0',
     'c4_12 enumerate --count-only': 'aa67a169b0bba217aa0aa88a65346920c84c42447c36ba5f7ea65f422c1fe5d8 0',
     'c4_12 enumerate --limit 50': '64e50e80153fe251bdc8d9f189cf595d41b842543239c50e14dfa439a69c6749 0',
+    'c4_12 enumerate': '64e50e80153fe251bdc8d9f189cf595d41b842543239c50e14dfa439a69c6749 0',
     'c4_12 piece canonical 1': '0ac1b17efab3380805f4d069d6edb06b48f5f1f77889ff419b4c9d1852e284df 0',
     'c4_12 quiver canonical 1': 'bd3d90d28a8101da7127327709b1b5d65caf656f66a3fa5e543413ce3e685ca5 0',
     'c4_12 quiver --dot canonical 1': 'db25c4ee37125dd74ca1a80742771750cf22cc6b7855b7c9128c900d07548bb7 0',
@@ -206,6 +212,7 @@ GOLDEN = {
     'c8_125 enumerate --per-ray': '246b75a9c5347101c407b176ba21dd891a168abff8b95066258ad71af7a94419 0',
     'c8_125 enumerate --count-only': 'dcf7fbaf1bb4ea421cdc9a1d7c9d1079f2704dcf958fddd3cb8b80ee395e9302 0',
     'c8_125 enumerate --limit 50': '53ffcdd0136fb6d0fa9dca15cc086605a7d65eee1b99d7d35cdfe0f3bcfff383 0',
+    'c8_125 enumerate': 'ac6c37d6b6b637cb493a040eea1d2ffd8ebbdaaffc0dbe0fb51c924a16d04b34 0',
     'c8_125 piece canonical 1': '6310c93f3dd4f6aec2e188f743226f84585c0b0e14ccc32e892642af863e0730 0',
     'c8_125 quiver canonical 1': '1502794c72a9e2143bfdb47dea7f7f5c6ac4eb340a34cf4e047af58439295163 0',
     'c8_125 quiver --dot canonical 1': '8a712a4bc6ef7419613074de9ee9768b446718b6b94403198ffc4598a53d637d 0',
