@@ -13,6 +13,7 @@ from .family import (
     bounds_check,
     canonical_family,
     check_reductor,
+    count_normalized,
     enumerate_normalized,
     enumerate_per_ray,
     equivalence_witness,

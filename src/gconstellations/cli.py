@@ -21,10 +21,11 @@ Exit codes: 0 success, 1 invalid input (JSON diagnostics on stdout),
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from operator import getitem
 
 from .family import (
@@ -33,6 +34,7 @@ from .family import (
     bounds_check,
     canonical_family,
     check_reductor,
+    count_normalized,
     enumerate_normalized,
     equivalence_witness,
     lambda_shift,
@@ -227,15 +229,37 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+def _write_runs(pieces) -> None:
+    """Write the text pieces to stdout joined in runs of at least
+    io.DEFAULT_BUFFER_SIZE characters, each run in one write, and the rest
+    at the end. An unbuffered stdout (PYTHONUNBUFFERED) makes each write
+    one write(2), so a run of pieces costs one, and no more than a run and
+    its last piece is held."""
+    write = sys.stdout.write
+    run, size = [], 0
+    for piece in pieces:
+        run.append(piece)
+        size += len(piece)
+        if size >= io.DEFAULT_BUFFER_SIZE:
+            write("".join(run))
+            run, size = [], 0
+    if run:
+        write("".join(run))
+
+
 def _emit_per_ray(enumeration: NormalizedEnumeration) -> None:
     """Write {"count": ..., "per_ray": [...]} byte for byte as _emit would,
-    one row at a time, so no table's text is ever held whole. json.dumps
-    with an indent runs the pure-Python encoder; here each cell's text is
-    made once per (character, position) and each row is one join. No list
-    is empty: a valid fan has rays, and every table holds the row of the
-    maximal-shift family."""
-    write = sys.stdout.write
-    write(f'{{\n  "count": {enumeration.count},\n  "per_ray": [')
+    in runs, so no table's text is ever held whole."""
+    _write_runs(_per_ray_pieces(enumeration))
+
+
+def _per_ray_pieces(enumeration: NormalizedEnumeration) -> Iterator[str]:
+    """_emit_per_ray's text, one piece per row and a few per table.
+    json.dumps with an indent runs the pure-Python encoder; here each cell's
+    text is made once per (character, position) and each row is one join.
+    No list is empty: a valid fan has rays, and every table holds the row
+    of the maximal-shift family."""
+    yield f'{{\n  "count": {enumeration.count},\n  "per_ray": ['
     # a row sits at depth 4 of the payload and its cells at depth 5; its
     # text opens with the comma after the row before it
     head = ",\n" + " " * 8 + "[\n" + " " * 10
@@ -243,16 +267,16 @@ def _emit_per_ray(enumeration: NormalizedEnumeration) -> None:
     for n, table in enumerate(enumeration.tables):
         cells = [[json.dumps(str(q)) for q in v] for v in table.values]
         chars = json.dumps([c.to_json() for c in table.characters], indent=2)
-        write(("," if n else "")
-              + '\n    {\n      "ray": ' + json.dumps(f"E{table.ray_label}")
-              + ',\n      "characters": ' + chars.replace("\n", "\n      ")
-              + ',\n      "rows": [')
+        yield (("," if n else "")
+               + '\n    {\n      "ray": ' + json.dumps(f"E{table.ray_label}")
+               + ',\n      "characters": ' + chars.replace("\n", "\n      ")
+               + ',\n      "rows": [')
         opener = head[1:]
         for p in table.positions:
-            write(opener + sep.join(map(getitem, cells, p)) + tail)
+            yield opener + sep.join(map(getitem, cells, p)) + tail
             opener = head
-        write("\n      ]\n    }")
-    write("\n  ]\n}\n")
+        yield "\n      ]\n    }"
+    yield "\n  ]\n}\n"
 
 
 def _vec_str(vec) -> str:
@@ -344,10 +368,10 @@ def cmd_family(args, group: GroupData, fan: Fan, _) -> int:
 
 
 def cmd_enumerate(args, group: GroupData, fan: Fan, _) -> int:
-    enumeration: NormalizedEnumeration = enumerate_normalized(fan, group)
     if args.count_only:
-        print(enumeration.count)
+        print(count_normalized(fan, group))
         return 0
+    enumeration: NormalizedEnumeration = enumerate_normalized(fan, group)
     if args.per_ray:
         _emit_per_ray(enumeration)
         return 0
@@ -355,12 +379,11 @@ def cmd_enumerate(args, group: GroupData, fan: Fan, _) -> int:
     # head per character and cell texts '"E4": "1/8"' made once per position
     heads = [f'{{"char": {json.dumps(c.to_json())}, "coeffs": {{'
              for c in group.characters()]
-    for cells in enumeration.cells(lambda label, q: f'"E{label}": "{q!s}"',
-                                   args.limit):
-        sys.stdout.write('{"divisors": [' + ", ".join(
-            head + ", ".join(filter(None, c)) + "}}"
-            for head, c in zip(heads, cells))
-            + "]}\n")
+    _write_runs('{"divisors": [' + ", ".join(
+        head + ", ".join(filter(None, c)) + "}}"
+        for head, c in zip(heads, cells)) + "]}\n"
+        for cells in enumeration.cells(
+            lambda label, q: f'"E{label}": "{q!s}"', args.limit))
     return 0
 
 

@@ -194,19 +194,18 @@ class PerRayTable(Record):
                      for p in self.positions)
 
 
-def enumerate_per_ray(ray: Ray, group: GroupData) -> PerRayTable:
-    """Every admissible coefficient row at one ray, in lexicographic order.
+def _ray_system(ray: Ray, group: GroupData):
+    """(lows, tops, uppers, lowers) of the per-ray search.
 
     q_chi = low_chi + c_chi with low_chi = -M(chi^-1) and an integer position
-    0 <= c_chi <= M(chi) - low_chi; the trivial character has only 0. Along
-    x_j from s to t, q_s + e_j - q_t >= 0 reads c_t <= c_s + b with
-    b = low_s + e_j - low_t. The bounds are scaled by the common denominator
-    D of the ray, and only the candidate values q_chi become Fractions. One
-    loop assigns the characters in order; each row is kept as its positions,
-    packed as bytes when every character has at most 256 candidates.
+    0 <= c_chi <= top_chi = M(chi) - low_chi; the trivial character has only
+    0. Along x_j from s to t, q_s + e_j - q_t >= 0 reads c_t <= c_s + b with
+    b = low_s + e_j - low_t. Everything is scaled by the common denominator
+    D of the ray: lows[k] is D * low_k, tops[k] and the b are positions.
+    uppers[t] holds (s, b) for s < t: c_t <= c_s + b; lowers[s] holds (t, b)
+    for t < s: c_s >= c_t - b; a loop holds since costs are >= 0.
+    ValueError when the bounds are not multiples of 1 / D.
     """
-    chars = group.characters()
-    count = len(chars)
     scale, costs = ray.scaled
     shifts = group.scaled_paths(ray.scaled)
     lows = [-shifts[inverse] for inverse in group.inverses]
@@ -216,28 +215,29 @@ def enumerate_per_ray(ray: Ray, group: GroupData) -> PerRayTable:
              for t, cost in zip(row, costs)]
     if any(n % scale for n in spans + [b for _, _, b in edges]):
         raise ValueError(f"{ray.name}: the per-ray bounds are not congruent")
-    candidates = tuple(tuple(Fraction(low + k * scale, scale)
-                             for k in range(span // scale + 1))
-                       for low, span in zip(lows, spans))
-    # uppers[t] holds (s, b) for s < t: c_t <= c_s + b; lowers[s] holds
-    # (t, b) for t < s: c_s >= c_t - b; a loop holds since costs are >= 0
-    uppers: list[list[tuple[int, int]]] = [[] for _ in chars]
-    lowers: list[list[tuple[int, int]]] = [[] for _ in chars]
+    uppers: list[list[tuple[int, int]]] = [[] for _ in lows]
+    lowers: list[list[tuple[int, int]]] = [[] for _ in lows]
     for s, t, b in edges:
         if s < t:
             uppers[t].append((s, b // scale))
         elif t < s:
             lowers[s].append((t, b // scale))
-    pack = bytes if all(len(v) <= 256 for v in candidates) else tuple
-    positions: list[bytes | tuple[int, ...]] = []
+    return lows, [span // scale for span in spans], uppers, lowers
+
+
+def _positions(tops, uppers, lowers) -> Iterator[list[int]]:
+    """Every admissible row of the per-ray system, in lexicographic order:
+    one loop assigns the characters in order and yields its list of
+    positions at each row, the same list each time, changed after."""
+    count = len(tops)
     c = [0] * count    # current position per character
     top = [0] * count  # largest admissible position given the earlier ones
     k = 0
     while k >= 0:
         if k == count:
-            positions.append(pack(c))
+            yield c
         else:
-            lo, hi = 0, len(candidates[k]) - 1
+            lo, hi = 0, tops[k]
             for t, b in lowers[k]:
                 if c[t] - b > lo:
                     lo = c[t] - b
@@ -255,8 +255,29 @@ def enumerate_per_ray(ray: Ray, group: GroupData) -> PerRayTable:
         if k >= 0:
             c[k] += 1
             k += 1
-    return PerRayTable(ray.label, tuple(chars), candidates,
-                       tuple(positions))
+
+
+def enumerate_per_ray(ray: Ray, group: GroupData) -> PerRayTable:
+    """Every admissible coefficient row at one ray, in lexicographic order,
+    from _ray_system's bounds. Only the candidate values q_chi become
+    Fractions; each row is kept as its positions, packed as bytes when every
+    character has at most 256 candidates."""
+    lows, tops, uppers, lowers = _ray_system(ray, group)
+    scale = ray.scaled[0]
+    candidates = tuple(tuple(Fraction(low + k * scale, scale)
+                             for k in range(top + 1))
+                       for low, top in zip(lows, tops))
+    pack = bytes if max(tops) < 256 else tuple
+    return PerRayTable(ray.label, tuple(group.characters()), candidates,
+                       tuple(map(pack, _positions(tops, uppers, lowers))))
+
+
+def count_normalized(fan: Fan, group: GroupData) -> int:
+    """enumerate_normalized(fan, group).count, the product of the per-ray
+    row counts, counted on _ray_system's bounds without making a row, a
+    candidate or a table."""
+    return prod(sum(1 for _ in _positions(*_ray_system(ray, group)[1:]))
+                for ray in fan.rays)
 
 
 class NormalizedEnumeration(Record):

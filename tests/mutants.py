@@ -65,12 +65,12 @@ MUTANTS = (
            ("tests/test_toric.py",)),
     # three earlier fast paths
     Mutant("bytes rows for 256 candidates only below 256", "family.py",
-           "pack = bytes if all(len(v) <= 256 for v in candidates)",
-           "pack = bytes if all(len(v) < 256 for v in candidates)",
+           "pack = bytes if max(tops) < 256 else tuple",
+           "pack = bytes if max(tops) < 255 else tuple",
            ("tests/test_family.py",)),
     Mutant("bytes rows for 257 candidates", "family.py",
-           "pack = bytes if all(len(v) <= 256 for v in candidates)",
-           "pack = bytes if all(len(v) <= 257 for v in candidates)",
+           "pack = bytes if max(tops) < 256 else tuple",
+           "pack = bytes if max(tops) < 257 else tuple",
            ("tests/test_family.py",)),
     Mutant("no orders check in lambda_shift", "family.py",
            "        if c.orders != orders:\n            raise ValueError("
@@ -242,6 +242,19 @@ MUTANTS = (
            "bad = sorted(label for label, seen in values.items() "
            "if len(seen) > 1)",
            ("tests/test_chart_generated.py",)),
+    # the row-free count and the writer of runs
+    Mutant("the count skips the last ray", "family.py",
+           "                for ray in fan.rays)\n",
+           "                for ray in fan.rays[:-1])\n",
+           ("tests/test_family.py",)),
+    Mutant("the writer drops its final partial run", "cli.py",
+           "    if run:\n        write(\"\".join(run))\n",
+           "",
+           ("tests/test_cli.py",)),
+    Mutant("the writer never clears its run", "cli.py",
+           "            run, size = [], 0\n",
+           "            size = 0\n",
+           ("tests/test_cli.py",)),
     Mutant("the package imports typing", "group.py",
            "import heapq\n", "import heapq\nimport typing\n",
            ("tests/test_records.py",)),

@@ -5,6 +5,9 @@ oracles on random faithful groups."""
 from hypothesis import assume, given
 
 from gconstellations import (
+    Fan,
+    build_lattice,
+    count_normalized,
     enumerate_per_ray,
     pairing,
 )
@@ -72,3 +75,17 @@ def test_per_ray_search_matches_recursive_dfs(case):
     assert table.characters == oracle.characters
     assert table.values == oracle.values
     assert tuple(map(tuple, table.positions)) == oracle.positions
+
+
+@PROPERTIES
+@given(group_and_ray())
+def test_row_free_count_matches_the_table_and_the_dfs(case):
+    group, ray = case
+    # the same bound on the grid as above keeps the oracle affordable
+    shifts = shortest_paths(group, ray.scaled)
+    assume(sum(shifts[i] + shifts[j] for i, j in enumerate(group.inverses))
+           <= 40)
+    # a fan of the one ray, which count_normalized reads only the rays of
+    count = count_normalized(Fan(build_lattice(group), (ray,), ()), group)
+    assert count == len(enumerate_per_ray(ray, group).positions)
+    assert count == len(enumerate_per_ray_dfs(ray, group).positions)

@@ -30,7 +30,7 @@ from gconstellations import (
     reductor_set_to_json,
     validate_fan,
 )
-from gconstellations import cli, toric
+from gconstellations import cli, family, toric
 from gconstellations.cli import load_problem, main
 from oracles import crepant_by_junior_set
 from strategies import (
@@ -335,11 +335,92 @@ def test_every_command_loads_the_problem_once(capsys, monkeypatch, tmp_path):
     assert code == 1 and calls == []
 
 
-def into_closed_pipe(read, *argv):
-    """Run `gcon <argv>` into a pipe, take read(stdout), close the pipe
-    early, and return what was read, the exit code and stderr."""
+class RecordingStdout(io.StringIO):
+    """A stdout that keeps every string written to it, one per call."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return super().write(text)
+
+
+def per_ray_payload(enumeration) -> dict:
+    """The --per-ray payload built from the Fraction rows."""
+    return {
+        "count": enumeration.count,
+        "per_ray": [{
+            "ray": f"E{t.ray_label}",
+            "characters": [c.to_json() for c in t.characters],
+            "rows": [[str(q) for q in row] for row in t.rows],
+        } for t in enumeration.tables],
+    }
+
+
+def row_starts(text: str) -> list[int]:
+    """Where each --per-ray row opens: a bracket and its first cell, a
+    quoted string, at depth 5; a character's list of residues opens the
+    same way but holds ints."""
+    opener = "\n" + " " * 8 + "[\n" + " " * 10 + '"'
+    starts, k = [], text.find(opener)
+    while k >= 0:
+        starts.append(k)
+        k = text.find(opener, k + 1)
+    return starts
+
+
+# before the child tests, which a writer that repeats its runs would send
+# gigabytes down a pipe
+@pytest.mark.parametrize("mode, chain", [
+    ("--per-ray", False), ("--per-ray", True), (None, False)],
+    ids=["c8_125", "a9", "c8_125-stream"])
+def test_output_is_written_in_runs(tmp_path, mode, chain):
+    path = crepant_chain_file(tmp_path, 9) if chain else RUNNING
+    out = RecordingStdout()
+    with redirect_stdout(out):
+        assert main(["enumerate", "--input", path, *filter(None, [mode])]) == 0
+    group, fan, _ = load_problem(path)
+    enumeration = enumerate_normalized(fan, group)
+    if mode:
+        expected = json.dumps(per_ray_payload(enumeration), indent=2) + "\n"
+        # the text from one row's start to the next, the first and last
+        # pieces with the count and the tables' heads and ends
+        cuts = [0, *row_starts(expected), len(expected)]
+        longest = max(map(int.__sub__, cuts[1:], cuts))
+    else:
+        expected = "".join(json.dumps(reductor_set_to_json(s)) + "\n"
+                           for s in enumeration.sets())
+        longest = max(map(len, expected.splitlines(keepends=True)))
+    assert "".join(out.writes) == expected
+    assert all(len(text) >= io.DEFAULT_BUFFER_SIZE
+               for text in out.writes[:-1])
+    assert all(len(text) < io.DEFAULT_BUFFER_SIZE + longest
+               for text in out.writes)
+
+
+def child_env(unbuffered: str | None) -> dict:
+    """The environment of a child that imports this package, with
+    PYTHONUNBUFFERED set to unbuffered unless that is None. A non-empty
+    value makes stdout an unbuffered file, one write(2) per write; an empty
+    one leaves it buffered."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(gconstellations.__file__).parent.parent)
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    return env
+
+
+# the child tests of the writer run both ways, since its runs move where
+# the first write lands
+UNBUFFERED = ("1", "")
+
+
+def into_closed_pipe(read, *argv, unbuffered):
+    """Run `gcon <argv>` into a pipe, take read(stdout), close the pipe
+    early, and return what was read, the exit code and stderr."""
+    env = child_env(unbuffered)
     proc = subprocess.Popen(
         [sys.executable, "-c",
          "from gconstellations.cli import console_main; console_main()",
@@ -355,11 +436,13 @@ def into_closed_pipe(read, *argv):
 
 def test_enumerate_into_closed_pipe():
     # like `gcon enumerate ... | head -1`: the reader leaves after one line
-    first, code, err = into_closed_pipe(
-        lambda out: out.readline(), "enumerate", "--input", RUNNING)
-    assert code == 0
-    assert err == b""
-    assert len(json.loads(first)["divisors"]) == 8
+    for unbuffered in UNBUFFERED:
+        first, code, err = into_closed_pipe(
+            lambda out: out.readline(), "enumerate", "--input", RUNNING,
+            unbuffered=unbuffered)
+        assert code == 0, unbuffered
+        assert err == b"", unbuffered
+        assert len(json.loads(first)["divisors"]) == 8
 
 
 @pytest.mark.parametrize("module", ["gconstellations",
@@ -395,11 +478,13 @@ def test_per_ray_into_closed_pipe(tmp_path):
     # like `gcon enumerate --per-ray ... | head -c 100`: the 1/13(1,12)
     # tables take about 2 MB, far more than a pipe holds
     path = crepant_chain_file(tmp_path, 13)
-    head, code, err = into_closed_pipe(
-        lambda out: out.read(100), "enumerate", "--input", path, "--per-ray")
-    assert code == 0
-    assert err == b""
-    assert head.startswith(b'{\n  "count": ')
+    for unbuffered in UNBUFFERED:
+        head, code, err = into_closed_pipe(
+            lambda out: out.read(100), "enumerate", "--input", path,
+            "--per-ray", unbuffered=unbuffered)
+        assert code == 0, unbuffered
+        assert err == b"", unbuffered
+        assert head.startswith(b'{\n  "count": ')
 
 
 class ChildRun(NamedTuple):
@@ -410,14 +495,14 @@ class ChildRun(NamedTuple):
     peak_rss_kib: int   # the child's own ru_maxrss, KiB on Linux
 
 
-def run_in_child(*argv, timeout):
+def run_in_child(*argv, timeout, unbuffered=None):
     """Run cli.main(argv) in a child process that reports its own peak RSS
-    on its last stderr line. The child runs under coreutils timeout, which
-    ends it with exit 124 after timeout seconds. timeout also forks it: a
-    child exec'd straight from pytest would count pytest's own peak in its
-    ru_maxrss, which Linux keeps across exec."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(gconstellations.__file__).parent.parent)
+    on its last stderr line, with PYTHONUNBUFFERED as child_env sets it.
+    The child runs under coreutils timeout, which ends it with exit 124
+    after timeout seconds. timeout also forks it: a child exec'd straight
+    from pytest would count pytest's own peak in its ru_maxrss, which Linux
+    keeps across exec."""
+    env = child_env(unbuffered)
     program = (
         "import resource, sys\n"
         "from gconstellations import cli\n"
@@ -451,21 +536,42 @@ def test_junior_points_of_a_huge_cyclic_group(tmp_path):
     assert done.peak_rss_kib < 30 * 1024, (done.seconds, done.peak_rss_kib)
 
 
+def sl3_seed_1_file(tmp_path, order, weights):
+    """The benchmark's seed-1 crepant fan of 1/order(weights), written by
+    its problem generator."""
+    gen = perfbench_gen()
+    rng = random.Random(1)
+    path = tmp_path / f"c{order}.json"
+    gen.write_problem(gen.crepant_fan_sl3(
+        gen.permuted(gen.Group((order,), (weights,)), rng), rng), str(path))
+    return str(path)
+
+
 def test_per_ray_tables_stream_in_bounded_memory(tmp_path):
     # the benchmark's seed-1 crepant fan of 1/30(1,4,25) has 21 MB of
     # --per-ray tables; rows are bytes and the writer streams them, so no
     # table's text is held
-    gen = perfbench_gen()
-    rng = random.Random(1)
-    path = tmp_path / "c30.json"
-    gen.write_problem(gen.crepant_fan_sl3(
-        gen.permuted(gen.Group((30,), ((1, 4, 25),)), rng), rng), str(path))
-    done = run_in_child("enumerate", "--input", str(path), "--per-ray",
+    path = sl3_seed_1_file(tmp_path, 30, (1, 4, 25))
+    for unbuffered in UNBUFFERED:
+        done = run_in_child("enumerate", "--input", path, "--per-ray",
+                            timeout=60, unbuffered=unbuffered)
+        assert done.code == 0, unbuffered
+        assert done.sha256 == (
+            "ae0f15a860652a8e4ac7d47f3c066396d2f2f1fd83760fe609e964bbed379cb7")
+        assert done.peak_rss_kib < 40 * 1024, (
+            unbuffered, done.seconds, done.peak_rss_kib)
+
+
+def test_count_only_keeps_no_rows(tmp_path):
+    # the seed-1 crepant fan of 1/40(1,7,32): its largest table has 366,240
+    # rows, and listing them all to count took 101 MiB
+    path = sl3_seed_1_file(tmp_path, 40, (1, 7, 32))
+    done = run_in_child("enumerate", "--input", path, "--count-only",
                         timeout=60)
     assert done.code == 0
-    assert done.sha256 == (
-        "ae0f15a860652a8e4ac7d47f3c066396d2f2f1fd83760fe609e964bbed379cb7")
-    assert done.peak_rss_kib < 40 * 1024, (done.seconds, done.peak_rss_kib)
+    assert done.stdout == (b"22481592124719170126203544001482588160"
+                           b"000000000000000000000000000000000\n")
+    assert done.peak_rss_kib < 30 * 1024, (done.seconds, done.peak_rss_kib)
 
 
 @PROPERTIES
@@ -495,52 +601,20 @@ def test_per_ray_writer_matches_json_dumps(case):
     assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
 
 
-class RecordingStdout(io.StringIO):
-    """A stdout that keeps every string written to it, one per call."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.writes = []
-
-    def write(self, text: str) -> int:
-        self.writes.append(text)
-        return super().write(text)
-
-
-def per_ray_payload(enumeration) -> dict:
-    """The --per-ray payload built from the Fraction rows."""
-    return {
-        "count": enumeration.count,
-        "per_ray": [{
-            "ray": f"E{t.ray_label}",
-            "characters": [c.to_json() for c in t.characters],
-            "rows": [[str(q) for q in row] for row in t.rows],
-        } for t in enumeration.tables],
-    }
-
-
-@pytest.mark.parametrize("chain", [False, True], ids=["c8_125", "a9"])
-def test_per_ray_is_written_row_by_row(tmp_path, chain):
-    path = crepant_chain_file(tmp_path, 9) if chain else RUNNING
-    out = RecordingStdout()
-    with redirect_stdout(out):
-        assert main(["enumerate", "--input", path, "--per-ray"]) == 0
-    group, fan, _ = load_problem(path)
-    enumeration = enumerate_normalized(fan, group)
-    assert "".join(out.writes) == (
-        json.dumps(per_ray_payload(enumeration), indent=2) + "\n")
-    # a row opens with a bracket and its first cell, a quoted string, at
-    # depth 5; a character's list of residues opens the same way but
-    # holds ints
-    opener = "[\n" + " " * 10 + '"'
-    assert max(text.count(opener) for text in out.writes) == 1
-    rows = sum(len(t.positions) for t in enumeration.tables)
-    assert sum(text.count(opener) for text in out.writes) == rows
-
-
 @pytest.mark.parametrize("mode", [("--count-only",), ("--per-ray",),
                                   ("--limit", "100")])
 def test_enumerate_never_builds_fraction_rows(capsys, monkeypatch, mode):
+    if mode == ("--count-only",):
+        # the count reads the per-ray bounds only: no table at all
+        def refuse(*args):
+            raise AssertionError("--count-only built a table")
+
+        for module in (cli, family):
+            monkeypatch.setattr(module, "enumerate_normalized", refuse)
+        monkeypatch.setattr(family, "enumerate_per_ray", refuse)
+        code, out, _ = run(capsys, "enumerate", "--input", RUNNING, *mode)
+        assert (code, out) == (0, "1536\n")
+        return
     made = []
 
     def recording(fan, group):

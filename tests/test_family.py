@@ -23,6 +23,7 @@ from gconstellations import (
     build_lattice,
     canonical_family,
     check_reductor,
+    count_normalized,
     enumerate_normalized,
     enumerate_per_ray,
     equivalence_witness,
@@ -364,6 +365,14 @@ def test_enumeration_counts(g2, fan2, g3, fan3, g31, fan31, g4, fan4,
     assert enumerate_normalized(fan1, g1).count == 1
 
 
+@pytest.mark.parametrize("problem", sorted(PROBLEMS.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_row_free_count_is_the_enumeration_count(problem):
+    group, fan, _ = load_problem(str(problem))
+    assert count_normalized(fan, group) == enumerate_normalized(
+        fan, group).count
+
+
 def test_enumeration_count_is_product_of_tables(g8, fan8):
     enum = enumerate_normalized(fan8, g8)
     sizes = [len(t.rows) for t in enum.tables]
@@ -408,6 +417,7 @@ def test_enumeration_of_a_fan_without_rays(g8):
     fan = make_fan(build_lattice(g8), [], [])
     enumeration = enumerate_normalized(fan, g8)
     assert enumeration.count == 1
+    assert count_normalized(fan, g8) == 1
     (only,) = list(enumeration.sets())
     assert only.divisors == tuple(GWeilDivisor(c, ())
                                   for c in g8.characters())
